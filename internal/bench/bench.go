@@ -13,7 +13,10 @@ package bench
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -330,20 +333,79 @@ func artifactPath(cfg Config, name string) string {
 		}
 		return filepath.Join(os.TempDir(), name)
 	}
+	return filepath.Join(moduleRoot(), name)
+}
+
+// moduleRoot returns the nearest ancestor of the working directory holding
+// go.mod, or "" (the working directory itself) when there is none.
+func moduleRoot() string {
 	dir, err := os.Getwd()
 	if err != nil {
-		return name
+		return ""
 	}
 	for d := dir; ; {
 		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return filepath.Join(d, name)
+			return d
 		}
 		parent := filepath.Dir(d)
 		if parent == d {
-			return name // no module root above cwd: fall back to cwd
+			return ""
 		}
 		d = parent
 	}
+}
+
+// Provenance records what a BENCH_*.json artifact was measured on, so a
+// later run that disagrees can be told apart from a different tree, Go
+// release or host shape.
+type Provenance struct {
+	// Commit is the HEAD the measured source was built from, suffixed
+	// "+dirty" when tracked files differed from it; "unknown" outside a
+	// git checkout.
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+}
+
+func provenance() Provenance {
+	return Provenance{
+		Commit:     sourceCommit(),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+	}
+}
+
+// sourceCommit reads the VCS stamp `go build` embeds. `go run` and `go
+// test` binaries carry none, so it falls back to asking git in the module
+// root.
+func sourceCommit() string {
+	rev, dirty := "", false
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+	}
+	if rev == "" {
+		root := moduleRoot()
+		out, err := exec.Command("git", "-C", root, "rev-parse", "HEAD").Output()
+		if err != nil {
+			return "unknown"
+		}
+		rev = strings.TrimSpace(string(out))
+		st, err := exec.Command("git", "-C", root, "status", "--porcelain", "--untracked-files=no").Output()
+		dirty = err != nil || len(st) > 0
+	}
+	if dirty {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -31,7 +31,7 @@ const ceilingBenchJSON = "BENCH_ceiling.json"
 // is zero and bandwidth is unlimited, so the simulated devices complete
 // instantly and the measured IOPS ceiling is pure software cost —
 // allocation and GC pressure, checksum passes, copies, and lock
-// contention. Exactly the costs this PR's hot-path work removes.
+// contention: exactly the costs the pooled hot path exists to remove.
 func ceilingSSD() simdisk.SSDModel {
 	return simdisk.SSDModel{Capacity: 16 * util.GiB, Parallelism: 64}
 }
@@ -43,10 +43,9 @@ func ceilingHDD() simdisk.HDDModel {
 // ceilingVolume keeps setup cheap while spreading I/O over many chunks.
 const ceilingVolume = 1 * util.GiB
 
-// ceilingCell is one (mode, op, queue depth) end-to-end measurement.
+// ceilingCell is one (op, queue depth) end-to-end measurement.
 type ceilingCell struct {
-	Mode string  `json:"mode"` // "baseline" or "pooled"
-	Op   string  `json:"op"`   // "read" or "write"
+	Op   string  `json:"op"` // "read" or "write"
 	QD   int     `json:"qd"`
 	IOPS float64 `json:"iops"` // wall-clock ops/s (noisy on shared hosts)
 	// IOPSCPU is ops per process-CPU-second (getrusage user+sys delta).
@@ -72,34 +71,31 @@ type ceilingMicro struct {
 }
 
 type ceilingDoc struct {
-	Bench    string         `json:"bench"`
-	Quick    bool           `json:"quick"`
-	Baseline string         `json:"baseline"`
-	Cells    []ceilingCell  `json:"cells"`
-	Micro    []ceilingMicro `json:"micro"`
-	// SpeedupByOpQD maps "op/qd" to pooled/baseline IOPS ratio.
-	SpeedupByOpQD map[string]float64 `json:"speedup_by_op_qd"`
-	// PoolLeases / PoolInUseAfter snapshot the buffer pool after the pooled
-	// cells quiesce: InUseAfter must be zero (no leaked leases).
+	Bench      string         `json:"bench"`
+	Quick      bool           `json:"quick"`
+	Provenance Provenance     `json:"provenance"`
+	Cells      []ceilingCell  `json:"cells"`
+	Micro      []ceilingMicro `json:"micro"`
+	// PoolLeases / PoolInUseAfter snapshot the buffer pool after the cells
+	// quiesce: InUseAfter must be zero (no leaked leases).
 	PoolLeases     int64 `json:"pool_leases"`
 	PoolInUseAfter int64 `json:"pool_in_use_after"`
+	// History points at recorded comparisons this figure no longer
+	// re-measures.
+	History string `json:"history"`
 }
 
-// setCeilingMode flips the three hot-path knobs together. Baseline is the
-// pre-PR software stack: payloads heap-allocated per message, two-pass
-// checksums behind one global lock, and journal flushes coalescing their
-// batch into a fresh contiguous copy.
-func setCeilingMode(pooled bool) {
-	bufpool.SetEnabled(pooled)
-	blockstore.SetLegacyChecksums(!pooled)
-}
+// ceilingHistory cites the last artifact that measured the pre-pool stack
+// beside the shipped one.
+const ceilingHistory = "pre-pool baseline vs pooled (CPU-normalized IOPS and allocs/op " +
+	"per op and queue depth): BENCH_ceiling.json as committed at 7b9356e; see DESIGN.md " +
+	"\"Hot-path memory ownership\""
 
 // runCeilingCell measures 4 KiB random IOPS end-to-end on a hybrid URSA
-// cluster with zero-cost devices and network.
-func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
-	setCeilingMode(pooled)
-	defer setCeilingMode(true)
-
+// cluster with zero-cost devices and network. It fails when the cluster
+// cannot be built or a measured pass completes no ops or sees an I/O error,
+// so a broken stack never reports a vacuous allocation bill.
+func runCeilingCell(cfg Config, write bool, qd int) (ceilingCell, error) {
 	c, err := core.New(core.Options{
 		Machines:       3,
 		SSDsPerMachine: 2,
@@ -111,32 +107,27 @@ func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
 		// Small SSD journals (16 MiB per backup HDD) wrap during the warm
 		// phase, so the measured window never touches cold journal pages:
 		// the lazily allocated 64 KiB simdisk pages would otherwise dominate
-		// the per-op allocation bill in BOTH modes and bury the hot-path
-		// delta this figure isolates.
+		// the per-op allocation bill and bury the hot path's own.
 		JournalFraction: 0.002,
 		ReplTimeout:     5 * time.Second,
 		CallTimeout:     20 * time.Second,
-		JournalCoalesce: !pooled,
 	})
 	if err != nil {
-		return ceilingCell{}
+		return ceilingCell{}, err
 	}
 	defer c.Close()
 	cl := c.NewClient("ceiling-client")
 	defer cl.Close()
 	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "ceiling", Size: ceilingVolume}); err != nil {
-		return ceilingCell{}
+		return ceilingCell{}, err
 	}
 	vd, err := cl.Open("ceiling")
 	if err != nil {
-		return ceilingCell{}
+		return ceilingCell{}, err
 	}
 	defer vd.Close()
 
-	cell := ceilingCell{QD: qd, Mode: "baseline", Op: "read"}
-	if pooled {
-		cell.Mode = "pooled"
-	}
+	cell := ceilingCell{QD: qd, Op: "read"}
 	pattern := workload.RandRead
 	if write {
 		cell.Op = "write"
@@ -161,8 +152,8 @@ func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
 	// Several measurement passes, keeping the pass with the best
 	// CPU-normalized IOPS. The container shares its host: a neighbor's
 	// cache/TLB pollution inflates our measured CPU-seconds unpredictably
-	// mid-pass, and best-of-N converges on the least-contended sample for
-	// baseline and pooled alike — the software ceiling this figure is after.
+	// mid-pass, and best-of-N converges on the least-contended sample —
+	// the software ceiling this figure is after.
 	passes := 3
 	if cfg.Quick {
 		passes = 2
@@ -174,25 +165,24 @@ func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
 		res := workload.Run(clock.Realtime, vd, spec)
 		cpu1 := cpuSeconds()
 		runtime.ReadMemStats(&m1)
+		if res.Ops == 0 || res.Errors > 0 {
+			return cell, fmt.Errorf("%s qd%d pass %d: %d ops, %d errors", cell.Op, qd, p, res.Ops, res.Errors)
+		}
 
 		if dc := cpu1 - cpu0; dc > 0 && float64(res.Ops)/dc > cell.IOPSCPU {
 			cell.IOPSCPU = float64(res.Ops) / dc
 			cell.IOPS = res.IOPS()
 			cell.MeanLatUs = float64(res.Lat.Mean()) / float64(time.Microsecond)
-			if res.Ops > 0 {
-				cell.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(res.Ops)
-				cell.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Ops)
-			}
+			cell.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(res.Ops)
+			cell.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Ops)
 		}
 	}
-	return cell
+	return cell, nil
 }
 
-// ceilingMicros runs the steady-state hot-path micro-benchmarks in pooled
-// configuration. Each loop body is one hot-path unit of work; all must run
-// at 0 allocs/op.
+// ceilingMicros runs the steady-state hot-path micro-benchmarks. Each loop
+// body is one hot-path unit of work; all must run at 0 allocs/op.
 func ceilingMicros() []ceilingMicro {
-	setCeilingMode(true)
 	ssd := simdisk.NewSSD(ceilingSSD(), clock.Realtime)
 	defer ssd.Close()
 	store := blockstore.New(ssd, util.AlignDown(ssd.Size(), util.ChunkSize))
@@ -353,40 +343,32 @@ func (fanoutStub) Do(op *opctx.Op, addr string, m *proto.Message, cap time.Durat
 // FigCeiling benchmarks the software IOPS ceiling: 4 KiB random reads and
 // writes end-to-end through client, transport, chunk servers, and journals,
 // with every simulated device and network hop at zero cost — so the ceiling
-// is set purely by the software stack. "baseline" reverts the hot path to
-// its pre-PR shape (per-message heap payloads, two-pass checksums behind a
-// global lock, copying journal flushes); "pooled" is the shipped
-// configuration. Steady-state micro-benchmarks confirm the pooled hot path
-// runs at 0 allocs/op. Results are also written to BENCH_ceiling.json.
+// is set purely by the software stack. Steady-state micro-benchmarks
+// confirm the hot path runs at 0 allocs/op. Results are also written to
+// BENCH_ceiling.json, stamped with the commit and host shape they ran on.
 func FigCeiling(cfg Config) Table {
 	t := Table{
-		ID:    "Fig C",
-		Title: "Software IOPS ceiling: 4KiB random, zero-cost devices, hybrid 3x3",
-		Header: []string{"op", "qd", "base iops/cpu-s", "pooled iops/cpu-s",
-			"speedup", "base allocs/op", "pooled allocs/op"},
+		ID:     "Fig C",
+		Title:  "Software IOPS ceiling: 4KiB random, zero-cost devices, hybrid 3x3",
+		Header: []string{"op", "qd", "iops", "iops/cpu-s", "mean lat us", "allocs/op", "B/op"},
 	}
 	doc := ceilingDoc{
-		Bench: "ceiling",
-		Quick: cfg.Quick,
-		Baseline: "pool off + legacy two-pass checksums (one global lock) + " +
-			"coalescing journal flush",
-		SpeedupByOpQD: map[string]float64{},
+		Bench:      "ceiling",
+		Quick:      cfg.Quick,
+		Provenance: provenance(),
+		History:    ceilingHistory,
 	}
 	for _, op := range []string{"read", "write"} {
-		write := op == "write"
 		for _, qd := range []int{1, 8, 32} {
-			base := runCeilingCell(cfg, false, write, qd)
-			pool := runCeilingCell(cfg, true, write, qd)
-			doc.Cells = append(doc.Cells, base, pool)
-			speedup := 0.0
-			if base.IOPSCPU > 0 {
-				speedup = pool.IOPSCPU / base.IOPSCPU
+			cell, err := runCeilingCell(cfg, op == "write", qd)
+			if err != nil {
+				t.Notes = append(t.Notes, "cell failed: "+err.Error())
+				continue
 			}
-			doc.SpeedupByOpQD[fmt.Sprintf("%s/%d", op, qd)] = speedup
+			doc.Cells = append(doc.Cells, cell)
 			t.Rows = append(t.Rows, []string{
-				op, f0(float64(qd)),
-				f0(base.IOPSCPU), f0(pool.IOPSCPU), f2(speedup) + "x",
-				f1(base.AllocsPerOp), f1(pool.AllocsPerOp),
+				op, f0(float64(qd)), f0(cell.IOPS), f0(cell.IOPSCPU),
+				f1(cell.MeanLatUs), f1(cell.AllocsPerOp), f0(cell.BytesPerOp),
 			})
 		}
 	}
@@ -396,7 +378,7 @@ func FigCeiling(cfg Config) Table {
 
 	micro := Table{
 		ID:     "Fig C micro",
-		Title:  "steady-state hot path (pooled), via testing.Benchmark",
+		Title:  "steady-state hot path, via testing.Benchmark",
 		Header: []string{"loop", "ns/op", "allocs/op", "B/op"},
 	}
 	for _, m := range doc.Micro {
@@ -409,10 +391,13 @@ func FigCeiling(cfg Config) Table {
 	t.Notes = append(t.Notes,
 		"iops/cpu-s is ops per process-CPU-second: with zero-cost devices the stack is",
 		"pure software, so CPU-normalized IOPS is the ceiling and is immune to host noise;",
-		"allocs/op is process-wide heap mallocs per completed I/O (client+servers+journals);",
-		"baseline allocates per message and copies per flush, pooled leases and scatter/gathers.",
+		"allocs/op is process-wide heap mallocs per completed I/O (client+servers+journals).",
+		"history: "+ceilingHistory,
 		fmt.Sprintf("pool leases=%d, in-use after drain=%d (must be 0)",
-			doc.PoolLeases, doc.PoolInUseAfter))
+			doc.PoolLeases, doc.PoolInUseAfter),
+		fmt.Sprintf("provenance: commit %s, %s, GOMAXPROCS=%d, nproc=%d",
+			doc.Provenance.Commit, doc.Provenance.GoVersion,
+			doc.Provenance.GOMAXPROCS, doc.Provenance.NumCPU))
 	if buf, err := json.MarshalIndent(&doc, "", "  "); err == nil {
 		if werr := os.WriteFile(artifactPath(cfg, ceilingBenchJSON), append(buf, '\n'), 0o644); werr != nil {
 			t.Notes = append(t.Notes, "write "+ceilingBenchJSON+": "+werr.Error())

@@ -7,12 +7,32 @@ import (
 )
 
 // perfBaseline mirrors testdata/perf_baseline.json: hard per-iteration
-// allocation ceilings for the steady-state hot-path loops.
+// allocation ceilings for the steady-state hot-path loops, and end-to-end
+// allocs/op ceilings for 4 KiB reads and writes through the whole stack.
 type perfBaseline struct {
 	Loops map[string]struct {
 		AllocsPerOp int64 `json:"allocs_per_op"`
 		BytesPerOp  int64 `json:"bytes_per_op"`
 	} `json:"loops"`
+	EndToEnd struct {
+		QD    int `json:"qd"`
+		Cells map[string]struct {
+			AllocsPerOp float64 `json:"allocs_per_op"`
+		} `json:"cells"`
+	} `json:"end_to_end"`
+}
+
+func loadPerfBaseline(t *testing.T) perfBaseline {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/perf_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base perfBaseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	return base
 }
 
 // TestPerfSmoke is the allocation regression gate behind `make perf-smoke`:
@@ -25,14 +45,7 @@ func TestPerfSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime distorts allocation accounting; gate runs race-free via make perf-smoke")
 	}
-	raw, err := os.ReadFile("testdata/perf_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base perfBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
-	}
+	base := loadPerfBaseline(t)
 
 	micros := ceilingMicros()
 	if len(micros) == 0 {
@@ -61,6 +74,44 @@ func TestPerfSmoke(t *testing.T) {
 	for name := range base.Loops {
 		if !seen[name] {
 			t.Errorf("baseline loop %s no longer measured", name)
+		}
+	}
+}
+
+// TestPerfSmokeEndToEnd is the end-to-end half of the gate: one quick
+// ceiling cell each for 4 KiB random reads and writes (client, transport,
+// chunk servers, journals, blockstore and zero-cost simulated devices) must
+// stay at or under the checked-in process-wide allocs/op ceilings.
+func TestPerfSmokeEndToEnd(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime distorts allocation accounting; gate runs race-free via make perf-smoke")
+	}
+	base := loadPerfBaseline(t)
+	if base.EndToEnd.QD <= 0 || len(base.EndToEnd.Cells) == 0 {
+		t.Fatal("testdata/perf_baseline.json has no end_to_end ceilings")
+	}
+	seen := make(map[string]bool)
+	for _, op := range []string{"read", "write"} {
+		cell, err := runCeilingCell(Config{Quick: true, Seed: 42}, op == "write", base.EndToEnd.QD)
+		if err != nil {
+			t.Fatalf("%s cell: %v", op, err)
+		}
+		name := "4k-" + op
+		seen[name] = true
+		want, ok := base.EndToEnd.Cells[name]
+		if !ok {
+			t.Errorf("%s: no end_to_end entry in testdata/perf_baseline.json", name)
+			continue
+		}
+		t.Logf("%s qd%d: %.2f allocs/op, %.0f B/op, %.0f iops/cpu-s (ceiling %.1f allocs)",
+			name, cell.QD, cell.AllocsPerOp, cell.BytesPerOp, cell.IOPSCPU, want.AllocsPerOp)
+		if cell.AllocsPerOp > want.AllocsPerOp {
+			t.Errorf("%s: %.2f allocs/op exceeds ceiling %.1f", name, cell.AllocsPerOp, want.AllocsPerOp)
+		}
+	}
+	for name := range base.EndToEnd.Cells {
+		if !seen[name] {
+			t.Errorf("end_to_end cell %s no longer measured", name)
 		}
 	}
 }

@@ -83,7 +83,6 @@ type pool struct {
 	classes [len(classSizes)]class
 	shards  [ledgerShards]shard
 
-	enabled  atomic.Bool
 	inUse    atomic.Int64 // buffers currently leased (refs > 0)
 	leases   atomic.Int64 // total Get calls served from the pool
 	returns  atomic.Int64 // total final Puts (buffer back on a free list)
@@ -98,7 +97,6 @@ var p = func() *pool {
 	for i := range pl.shards {
 		pl.shards[i].m = make(map[uintptr]*entry)
 	}
-	pl.enabled.Store(true)
 	return pl
 }()
 
@@ -131,12 +129,11 @@ func base(b []byte) (uintptr, bool) {
 }
 
 // Get leases a buffer of length n with one reference. Requests outside
-// the class range — and every request while the pool is disabled — fall
-// back to a plain allocation the ledger does not track (a foreign buffer:
-// Put and Retain on it are no-ops).
+// the class range fall back to a plain allocation the ledger does not
+// track (a foreign buffer: Put and Retain on it are no-ops).
 func Get(n int) []byte {
 	ci := classFor(n)
-	if ci < 0 || !p.enabled.Load() {
+	if ci < 0 {
 		return make([]byte, n)
 	}
 	c := &p.classes[ci]
@@ -248,12 +245,3 @@ func Leases() int64 { return p.leases.Load() }
 
 // Returns reports the cumulative number of buffers fully returned.
 func Returns() int64 { return p.returns.Load() }
-
-// SetEnabled toggles pooling. While disabled, Get falls back to plain
-// allocation (the pre-pool behavior, used as a benchmark baseline);
-// buffers leased while enabled still return normally, so toggling
-// mid-flight cannot corrupt the ledger.
-func SetEnabled(on bool) { p.enabled.Store(on) }
-
-// Enabled reports whether Get leases from the pool.
-func Enabled() bool { return p.enabled.Load() }

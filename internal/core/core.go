@@ -120,12 +120,6 @@ type Options struct {
 	// ScrubConfig tunes the scrubbers (zero value = scrub.DefaultConfig;
 	// a nil Metrics field inherits the cluster registry).
 	ScrubConfig scrub.Config
-	// JournalCoalesce makes every journal flush coalesce its batch into
-	// one freshly allocated contiguous buffer instead of the default
-	// scatter/gather vectored write (journal.Config.CoalesceFlush) — the
-	// copying baseline the ceiling bench measures the zero-copy path
-	// against.
-	JournalCoalesce bool
 	// ObjstoreModel overrides the simulated object store's latency and
 	// bandwidth model (nil = objstore.DefaultModel; point at
 	// objstore.TestModel() for the near-free protocol-test shape).
@@ -461,7 +455,6 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 
 		jcfg := journal.DefaultConfig()
 		jcfg.Metrics = opts.Metrics // group-commit batch/flush distributions
-		jcfg.CoalesceFlush = opts.JournalCoalesce
 		jset := journal.NewSet(c.clk, store, jcfg)
 		ssdIdx := k % opts.SSDsPerMachine
 		slot := int64(k / opts.SSDsPerMachine)

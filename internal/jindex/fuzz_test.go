@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"ursa/internal/bufpool"
 	"ursa/internal/util"
 )
 
@@ -109,10 +108,6 @@ func lookupExtent(extents []Extent, sec uint32) (uint64, bool) {
 // merge's scratch. Run under -race this proves readers can never observe a
 // recycled node or a scratch slice being rewritten.
 func TestIndexQueryDuringMergeSoak(t *testing.T) {
-	prev := bufpool.Enabled()
-	bufpool.SetEnabled(true)
-	defer bufpool.SetEnabled(prev)
-
 	ix := New(256) // small threshold: background merges fire constantly
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

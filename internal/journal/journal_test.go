@@ -337,6 +337,106 @@ func TestJournalWrapAround(t *testing.T) {
 	}
 }
 
+// TestGroupCommitRunEndsAtRegionEnd: a batch whose records reach the
+// region end exactly (no wrap pad needed) continues at the region start.
+// Positions stay contiguous across that boundary, so the flush must still
+// split the batch into two device writes; written as one run, the record
+// after the boundary would land past the region end while its index points
+// at the region start, failing replay's CRC check and parking the backlog.
+func TestGroupCommitRunEndsAtRegionEnd(t *testing.T) {
+	rec4k, rec8k := recordBytes(4*util.KiB), recordBytes(8*util.KiB)
+	// Room for a 4 KiB record, then a 4 KiB and an 8 KiB one that end at the
+	// region end exactly.
+	e := newEnv(t, 2*rec4k+rec8k, false)
+	id := blockstore.MakeChunkID(1, 0)
+	e.mustChunk(t, id)
+	r := util.NewRand(11)
+	payload := func(n int) []byte {
+		b := make([]byte, n)
+		r.Fill(b)
+		return b
+	}
+
+	// Fill and drain the region's first record slot so the head sits at
+	// rec4k with the tail caught up: the batch below then has room to wrap.
+	if err := e.set.Append(nil, id, 0, payload(4*util.KiB), 1); err != nil {
+		t.Fatal(err)
+	}
+	e.set.Drain()
+
+	// Queue three records behind a held flush leadership so they commit as
+	// one batch: 4 KiB and 8 KiB up to the region end, then 4 KiB at the
+	// region start.
+	type write struct {
+		off  int64
+		data []byte
+	}
+	writes := []write{
+		{64 * util.KiB, payload(4 * util.KiB)},
+		{128 * util.KiB, payload(8 * util.KiB)},
+		{256 * util.KiB, payload(4 * util.KiB)},
+	}
+	j := e.set.journals[0]
+	e.set.mu.Lock()
+	j.flushing = true
+	e.set.mu.Unlock()
+	errs := make(chan error, len(writes))
+	for i, w := range writes {
+		go func() { errs <- e.set.Append(nil, id, w.off, w.data, uint64(i+2)) }()
+		for queued := 0; queued != i+1; {
+			time.Sleep(100 * time.Microsecond)
+			e.set.mu.Lock()
+			queued = len(j.commitq)
+			e.set.mu.Unlock()
+		}
+	}
+	e.set.mu.Lock()
+	last := j.commitq[len(j.commitq)-1]
+	e.set.mu.Unlock()
+	if last.pos != j.size {
+		t.Fatalf("last record at position %d, want the region end %d", last.pos, j.size)
+	}
+	e.set.flush(j)
+	for range writes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, w := range writes {
+		got := make([]byte, len(w.data))
+		if err := e.set.Read(id, got, w.off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w.data) {
+			t.Errorf("journal read at %d: wrong bytes", w.off)
+		}
+	}
+	drained := make(chan struct{})
+	go func() {
+		e.set.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("backlog never drained: pending=%d, replay-corrupt=%d",
+			e.set.Pending(), e.set.Stats().ReplayCorrupt)
+	}
+	if st := e.set.Stats(); st.ReplayCorrupt != 0 {
+		t.Fatalf("replay saw %d corrupt records", st.ReplayCorrupt)
+	}
+	for _, w := range writes {
+		got := make([]byte, len(w.data))
+		if err := e.sink.ReadAt(id, got, w.off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w.data) {
+			t.Fatalf("replayed sink bytes at %d differ", w.off)
+		}
+	}
+}
+
 func TestUnalignedRejected(t *testing.T) {
 	e := newEnv(t, util.MiB, false)
 	id := blockstore.MakeChunkID(1, 0)

@@ -44,12 +44,6 @@ type Config struct {
 	// ReplayWindow caps the records the replayer drains per pass before
 	// reclaiming their journal space. 0 selects DefaultReplayWindow.
 	ReplayWindow int
-	// CoalesceFlush switches the group-commit flush back to copying each
-	// run of records into one contiguous buffer before the device write,
-	// instead of handing the device a scatter/gather list of the callers'
-	// payload buffers. It exists as the measured baseline of
-	// `ursa-bench -fig ceiling`.
-	CoalesceFlush bool
 	// Metrics, when set, receives the group-commit distributions:
 	// batch sizes ("journal-batch-records"), flush latency
 	// ("journal-flush"), commit-queue wait ("journal-commit-queue"), and
@@ -352,7 +346,7 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 		}
 		j.fifo = append(j.fifo, rec)
 		s.pending++
-		req := getCommitReq()
+		req := commitReqPool.Get().(*commitReq)
 		req.rec, req.pos, req.hdr, req.data = rec, pos, h, data
 		req.enq = s.clk.Now()
 		j.commitq = append(j.commitq, req)
@@ -400,17 +394,7 @@ var commitReqPool = sync.Pool{New: func() any {
 	}
 }}
 
-func getCommitReq() *commitReq {
-	if bufpool.Enabled() {
-		return commitReqPool.Get().(*commitReq)
-	}
-	return &commitReq{done: make(chan struct{}, 1), lead: make(chan struct{}, 1)}
-}
-
 func putCommitReq(req *commitReq) {
-	if !bufpool.Enabled() {
-		return
-	}
 	req.rec, req.data, req.err = nil, nil, nil
 	req.claimed, req.flushed = time.Time{}, time.Time{}
 	commitReqPool.Put(req)
@@ -442,8 +426,9 @@ func (s *Set) pickJournalLocked(dataLen int) *Journal {
 
 // flush runs one group-commit batch on j: claim up to MaxBatch queued
 // requests, write them as contiguous sequential device writes (one per run
-// of back-to-back records; wrap pads split runs), publish every record's
-// result and index entries, then hand leadership to the next queue head.
+// of back-to-back records; wrap pads and the region end split runs),
+// publish every record's result and index entries, then hand leadership to
+// the next queue head.
 // The caller must hold j's leadership (j.flushing).
 func (s *Set) flush(j *Journal) {
 	s.mu.Lock()
@@ -469,15 +454,18 @@ func (s *Set) flush(j *Journal) {
 	} else {
 		// The commit queue is in reservation order, so positions increase
 		// monotonically; a record extends the current run when its header
-		// starts exactly where the previous record ended.
+		// starts exactly where the previous record ended. A record ending
+		// exactly at the region end needs no wrap pad, so the next one
+		// starts at the same position counter but back at the region start:
+		// the run must end there, or writeRun would lay it past the region.
 		for i := 0; i < len(batch); {
 			k := i + 1
 			end := batch[i].pos + batch[i].rec.footer
-			for k < len(batch) && batch[k].pos == end {
+			for k < len(batch) && batch[k].pos == end && end%j.size != 0 {
 				end += batch[k].rec.footer
 				k++
 			}
-			s.writeRun(j, batch[i:k])
+			j.writeRun(batch[i:k])
 			i = k
 		}
 	}
@@ -486,21 +474,14 @@ func (s *Set) flush(j *Journal) {
 	s.mu.Lock()
 	var deadCb func(name string, err error)
 	var deadCause error
-	// Index-insert accumulation uses the journal's leader-owned scratch when
-	// pooling is on; the map keeps its keys across flushes (cleared to empty
-	// slices), so presence in `order` is tracked by emptiness, not by key.
-	pooledScratch := bufpool.Enabled()
-	var inserts map[blockstore.ChunkID][]jindex.Extent
-	var order []blockstore.ChunkID
-	if pooledScratch {
-		if j.insertScratch == nil {
-			j.insertScratch = make(map[blockstore.ChunkID][]jindex.Extent)
-		}
-		inserts = j.insertScratch
-		order = j.orderScratch[:0]
-	} else {
-		inserts = make(map[blockstore.ChunkID][]jindex.Extent)
+	// Index-insert accumulation uses the journal's leader-owned scratch; the
+	// map keeps its keys across flushes (cleared to empty slices), so
+	// presence in `order` is tracked by emptiness, not by key.
+	if j.insertScratch == nil {
+		j.insertScratch = make(map[blockstore.ChunkID][]jindex.Extent)
 	}
+	inserts := j.insertScratch
+	order := j.orderScratch[:0]
 	for _, r := range batch {
 		r.flushed = flushed
 		j.queued--
@@ -535,13 +516,9 @@ func (s *Set) flush(j *Journal) {
 	}
 	for _, id := range order {
 		s.indexLocked(id).InsertBatch(inserts[id])
-		if pooledScratch {
-			inserts[id] = inserts[id][:0]
-		}
+		inserts[id] = inserts[id][:0]
 	}
-	if pooledScratch {
-		j.orderScratch = order
-	}
+	j.orderScratch = order
 	j.flushes++
 	j.batchedRecords += int64(len(batch))
 	if m := s.cfg.Metrics; m != nil {
@@ -576,43 +553,27 @@ func (s *Set) flush(j *Journal) {
 // each request with the write's result. Space is already reserved, so no
 // lock is needed.
 //
-// The default path is zero-copy: each record contributes a leased header
-// sector and its caller's payload buffer to one scatter/gather list, and
-// the device writes the whole batch straight out of them (simdisk.WritevAt;
-// the pwritev of a real journal). CoalesceFlush restores the old
-// allocate-and-copy path as the ceiling bench's baseline.
-func (s *Set) writeRun(j *Journal, run []*commitReq) {
-	first := run[0].pos
-	off := j.base + first%j.size
-	var err error
-	if s.cfg.CoalesceFlush {
-		last := run[len(run)-1]
-		buf := make([]byte, last.pos+last.rec.footer-first)
-		for _, r := range run {
-			at := r.pos - first
-			r.hdr.encode(buf[at:])
-			copy(buf[at+headerSize:], r.data)
-		}
-		err = j.disk.WriteAt(buf, off)
-	} else {
-		// Record payloads are sector-aligned (checkAligned), so the iovec is
-		// exactly [hdr, data] per record with no padding between records.
-		// The iovec slices are leader-owned journal scratch, reused across
-		// runs.
-		hdrs := j.iovHdrs[:0]
-		bufs := j.iovBufs[:0]
-		for _, r := range run {
-			hdr := bufpool.Get(headerSize)
-			r.hdr.encode(hdr)
-			hdrs = append(hdrs, hdr)
-			bufs = append(bufs, hdr, r.data)
-		}
-		err = simdisk.WritevAt(j.disk, bufs, off)
-		for _, h := range hdrs {
-			bufpool.Put(h)
-		}
-		j.iovHdrs, j.iovBufs = hdrs, bufs
+// The write is zero-copy: each record contributes a leased header sector
+// and its caller's payload buffer to one scatter/gather list, and the
+// device writes the whole batch straight out of them (simdisk.WritevAt; the
+// pwritev of a real journal). Record payloads are sector-aligned
+// (checkAligned), so the iovec is exactly [hdr, data] per record with no
+// padding between records. The iovec slices are leader-owned journal
+// scratch, reused across runs.
+func (j *Journal) writeRun(run []*commitReq) {
+	hdrs := j.iovHdrs[:0]
+	bufs := j.iovBufs[:0]
+	for _, r := range run {
+		hdr := bufpool.Get(headerSize)
+		r.hdr.encode(hdr)
+		hdrs = append(hdrs, hdr)
+		bufs = append(bufs, hdr, r.data)
 	}
+	err := simdisk.WritevAt(j.disk, bufs, j.base+run[0].pos%j.size)
+	for _, h := range hdrs {
+		bufpool.Put(h)
+	}
+	j.iovHdrs, j.iovBufs = hdrs, bufs
 	for _, r := range run {
 		r.err = err
 	}

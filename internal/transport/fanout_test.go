@@ -112,29 +112,6 @@ func TestBroadcasterEarlyFinish(t *testing.T) {
 	}
 }
 
-// TestBroadcasterLegacyMode covers the goroutine-per-branch dispatch the
-// baseline benchmark mode uses.
-func TestBroadcasterLegacyMode(t *testing.T) {
-	prev := bufpool.Enabled()
-	bufpool.SetEnabled(false)
-	defer bufpool.SetEnabled(prev)
-
-	s := &stubCaller{}
-	b := NewBroadcaster(s)
-	defer b.Close()
-	op := fanOp()
-	fl := b.Begin(3)
-	for i, addr := range []string{"a", "b", "c"} {
-		sendBranch(fl, i, addr, op)
-	}
-	for i := 0; i < 3; i++ {
-		if r := fl.Next(); r.Err || r.Status != proto.StatusOK {
-			t.Fatalf("bad result %+v", r)
-		}
-	}
-	fl.Finish()
-}
-
 // TestBroadcasterDispatchAfterClose: a teardown race must still settle the
 // flight (fresh goroutines), never deadlock or panic.
 func TestBroadcasterDispatchAfterClose(t *testing.T) {

@@ -18,9 +18,6 @@ import (
 // the ownership-contract soak: any buffer recycled while still referenced
 // shows up as either corrupted echo bytes or a data race on the buffer.
 func TestPooledDecodeRaceSoak(t *testing.T) {
-	if !bufpool.Enabled() {
-		t.Skip("buffer pool disabled")
-	}
 	start := bufpool.InUse()
 
 	l, err := ListenTCP("127.0.0.1:0")

@@ -118,13 +118,8 @@ var timerPool = sync.Pool{New: func() any {
 // already closed — so callers can treat "handed to Start/Go/Do" as
 // "released" unconditionally.
 func (c *Client) Start(m *proto.Message) *PendingCall {
-	var pc *PendingCall
-	if bufpool.Enabled() {
-		pc = pcPool.Get().(*PendingCall)
-		pc.c = c
-	} else {
-		pc = &PendingCall{c: c, ch: make(chan *proto.Message, 1)}
-	}
+	pc := pcPool.Get().(*PendingCall)
+	pc.c = c
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -211,13 +206,9 @@ func (c *Client) Do(op *opctx.Op, m *proto.Message, cap time.Duration) (*proto.M
 	var timer *time.Timer
 	var timerC <-chan time.Time
 	if wait > 0 {
-		if bufpool.Enabled() {
-			timer = timerPool.Get().(*time.Timer)
-			timer.Reset(time.Duration(float64(wait) * c.clk.Scale()))
-			timerC = timer.C
-		} else {
-			timerC = c.clk.After(wait)
-		}
+		timer = timerPool.Get().(*time.Timer)
+		timer.Reset(time.Duration(float64(wait) * c.clk.Scale()))
+		timerC = timer.C
 	}
 	select {
 	case resp, respOK := <-pc.ch:
@@ -233,9 +224,7 @@ func (c *Client) Do(op *opctx.Op, m *proto.Message, cap time.Duration) (*proto.M
 		return resp, nil
 	case <-timerC:
 		st.Stop()
-		if timer != nil {
-			timerPool.Put(timer) // fired and drained; nothing to stop
-		}
+		timerPool.Put(timer) // fired and drained; nothing to stop
 		if pc.abandon() {
 			pcPool.Put(pc)
 		}
@@ -421,16 +410,6 @@ func (s *Server) connLoop(conn MsgConn) {
 			s.qsink.ObserveValue(MetricConnInflight, int64(len(sem)))
 		}
 		inner.Add(1)
-		if !bufpool.Enabled() {
-			// Legacy (pre-pool) dispatch: one goroutine per message. Kept
-			// reachable so the ceiling bench can measure it as baseline.
-			go func(m *proto.Message) {
-				defer inner.Done()
-				defer func() { <-sem }()
-				s.serveOne(conn, m)
-			}(m)
-			continue
-		}
 		select {
 		case w := <-idle:
 			w <- m
