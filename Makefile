@@ -77,9 +77,11 @@ ec-smoke:
 # three-master cluster is killed mid-workload under the linearizability
 # checker; a standby must promote at a higher epoch, the deposed master
 # must bounce off the chunkservers' epoch fence, and the client must finish
-# with zero failed I/Os.
+# with zero failed I/Os. Also: a lone master runs the same protocol as a
+# group of one (epoch 1, op log, self-promotion), and every fenced op in the
+# chunkserver's dispatch table bounces off a stale epoch.
 failover-smoke:
-	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers' -race -count=1 -v
+	$(GO) test ./internal/cluster ./internal/master ./internal/core ./internal/chunkserver -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestLone|TestEpochFence' -race -count=1 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-

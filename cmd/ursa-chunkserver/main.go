@@ -44,16 +44,20 @@ func main() {
 	clk := clock.Realtime
 	dialer := transport.TCPDialer{}
 
+	// The master address also receives device-failure reports, cold-ref
+	// refreshes and materialization notices, not just the registration.
+	cfg := chunkserver.Config{
+		Addr: *listen, Clock: clk, Dialer: dialer,
+		MasterAddrs: []string{*masterAddr},
+	}
 	var srv *chunkserver.Server
 	switch *role {
 	case "primary":
 		m := simdisk.DefaultSSD()
 		m.Capacity = *capacity
 		ssd := simdisk.NewSSD(m, clk)
-		srv = chunkserver.New(chunkserver.Config{
-			Addr: *listen, Role: chunkserver.RolePrimary,
-			Clock: clk, Dialer: dialer,
-		}, blockstore.New(ssd, 0), nil)
+		cfg.Role = chunkserver.RolePrimary
+		srv = chunkserver.New(cfg, blockstore.New(ssd, 0), nil)
 	case "backup":
 		hm := simdisk.DefaultHDD()
 		hm.Capacity = *capacity
@@ -71,10 +75,8 @@ func main() {
 		jset.AddSSDJournal("jssd", jssd, 0, util.AlignDown(sm.Capacity, util.SectorSize))
 		jset.AddHDDJournal("jhdd", hdd, storeLimit, hddJournalSize)
 		jset.Start()
-		srv = chunkserver.New(chunkserver.Config{
-			Addr: *listen, Role: chunkserver.RoleBackup,
-			Clock: clk, Dialer: dialer,
-		}, store, jset)
+		cfg.Role = chunkserver.RoleBackup
+		srv = chunkserver.New(cfg, store, jset)
 	default:
 		log.Fatalf("unknown role %q", *role)
 	}

@@ -226,10 +226,10 @@ type materializedReq struct {
 }
 
 // refreshColdRefs reloads the chunk's cold extent table from the master
-// (rotating endpoints like reportFailure) after a GC segment rewrite
-// invalidated local refs. The still-unfetched local set is intersected with
-// the master's current table — extents fetched locally in the meantime stay
-// gone — and the refreshed ref covering chunkOff is returned.
+// (through callMaster) after a GC segment rewrite invalidated local refs.
+// The still-unfetched local set is intersected with the master's current
+// table — extents fetched locally in the meantime stay gone — and the
+// refreshed ref covering chunkOff is returned.
 func (s *Server) refreshColdRefs(op *opctx.Op, cold *coldState, id blockstore.ChunkID, chunkOff int64) (coldtier.ExtentRef, bool, error) {
 	if len(s.cfg.MasterAddrs) == 0 {
 		return coldtier.ExtentRef{}, false, fmt.Errorf("chunkserver %s: no master to refresh cold refs: %w",
@@ -239,41 +239,19 @@ func (s *Server) refreshColdRefs(op *opctx.Op, cold *coldState, id blockstore.Ch
 	if err != nil {
 		return coldtier.ExtentRef{}, false, err
 	}
-	var fresh []coldtier.ExtentRef
+	var body coldRefsResp
 	got := false
-	addrs := s.cfg.MasterAddrs
-	start := int(s.masterIdx.Load()) % len(addrs)
-	for i := 0; i < len(addrs); i++ {
-		idx := (start + i) % len(addrs)
-		resp, derr := s.peers.Do(op, addrs[idx], &proto.Message{
-			Op:      proto.MOpGetColdRefs,
-			Payload: payload,
-		}, 0)
-		if derr != nil {
-			continue
-		}
-		status := resp.Status
-		var body coldRefsResp
-		jerr := json.Unmarshal(resp.Payload, &body)
-		bufpool.Put(resp.Payload)
-		proto.Recycle(resp)
-		if status == proto.StatusOK && jerr == nil {
-			s.masterIdx.Store(int64(idx))
-			fresh = body.Refs
-			got = true
-			break
-		}
-		if status != proto.StatusNotPrimary {
-			break
-		}
+	if resp := s.callMaster(op, proto.MOpGetColdRefs, payload); resp != nil {
+		got = resp.Status == proto.StatusOK && json.Unmarshal(resp.Payload, &body) == nil
+		releaseReply(resp)
 	}
 	if !got {
 		return coldtier.ExtentRef{}, false, fmt.Errorf("chunkserver %s: refresh cold refs %v: %w",
 			s.cfg.Addr, id, util.ErrTimeout)
 	}
 
-	byOff := make(map[int64]coldtier.ExtentRef, len(fresh))
-	for _, r := range fresh {
+	byOff := make(map[int64]coldtier.ExtentRef, len(body.Refs))
+	for _, r := range body.Refs {
 		byOff[r.ChunkOff] = r
 	}
 	var out coldtier.ExtentRef
@@ -305,25 +283,7 @@ func (s *Server) notifyMaterialized(id blockstore.ChunkID) {
 			return
 		}
 		op := opctx.New(s.cfg.Clock, 20*s.cfg.ReplTimeout)
-		addrs := s.cfg.MasterAddrs
-		start := int(s.masterIdx.Load()) % len(addrs)
-		for i := 0; i < len(addrs); i++ {
-			idx := (start + i) % len(addrs)
-			resp, derr := s.peers.Do(op, addrs[idx], &proto.Message{
-				Op:      proto.MOpChunkMaterialized,
-				Payload: payload,
-			}, 0)
-			if derr != nil {
-				continue
-			}
-			status := resp.Status
-			bufpool.Put(resp.Payload)
-			proto.Recycle(resp)
-			if status != proto.StatusNotPrimary {
-				s.masterIdx.Store(int64(idx))
-				return
-			}
-		}
+		releaseReply(s.callMaster(op, proto.MOpChunkMaterialized, payload))
 	}()
 }
 

@@ -46,9 +46,15 @@ func TestEpochFenceRejectsStaleMasterCommands(t *testing.T) {
 		t.Fatalf("MasterEpoch = %d, want 5", got)
 	}
 
-	// Master-driven commands from older epochs are fenced, and the reply
-	// carries the epoch that fenced them so the deposed master learns why.
-	for _, op := range []proto.Op{proto.OpSetView, proto.OpCreateChunk, proto.OpRebuildSegment} {
+	// Every fenced op from an older epoch is rejected, and the reply
+	// carries the epoch that fenced it so the deposed master learns why.
+	fenced := 0
+	for i, e := range chunkOps {
+		if !e.fenced {
+			continue
+		}
+		op := proto.Op(i)
+		fenced++
 		resp = srv.Handle(&proto.Message{Op: op, Chunk: testChunk, View: 2, Epoch: 3})
 		if resp.Status != proto.StatusStaleEpoch {
 			t.Fatalf("%v@3 = %s, want stale-epoch", op, resp.Status)
@@ -57,8 +63,8 @@ func TestEpochFenceRejectsStaleMasterCommands(t *testing.T) {
 			t.Fatalf("%v@3 fencing epoch = %d, want 5", op, resp.Epoch)
 		}
 	}
-	if n := reg.Counter(MetricStaleEpochRejections).Load(); n != 3 {
-		t.Fatalf("stale rejections = %d, want 3", n)
+	if n := reg.Counter(MetricStaleEpochRejections).Load(); n != int64(fenced) {
+		t.Fatalf("stale rejections = %d, want %d", n, fenced)
 	}
 
 	// The fence never rolls back: the current epoch sails through, and a
@@ -80,18 +86,21 @@ func TestEpochFenceIgnoresDataPathAndUnfencedOps(t *testing.T) {
 	srv, reg := newFencedServer(t)
 	srv.Handle(&proto.Message{Op: proto.OpNop, Epoch: 9})
 
-	// Epoch 0 marks an unfenced sender (single-master cluster, client data
-	// path): never rejected regardless of the witnessed epoch.
-	resp := srv.Handle(&proto.Message{Op: proto.OpNop, Epoch: 0})
-	if resp.Status != proto.StatusOK {
-		t.Fatalf("OpNop@0 = %s", resp.Status)
-	}
-
 	// Data-path ops are fenced by view numbers, not master epochs — a
-	// stale epoch on them must be ignored, not rejected.
-	resp = srv.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk, Epoch: 2})
-	if resp.Status == proto.StatusStaleEpoch {
-		t.Fatalf("OpGetVersion@2 hit the fence; data path must be unfenced")
+	// stale epoch on any unfenced op must be ignored, not rejected.
+	for i, e := range chunkOps {
+		if e.handle == nil || e.fenced {
+			continue
+		}
+		op := proto.Op(i)
+		resp := srv.Handle(&proto.Message{Op: op, Chunk: testChunk, Epoch: 2})
+		if resp.Status == proto.StatusStaleEpoch {
+			t.Fatalf("%v@2 hit the fence; data path must be unfenced", op)
+		}
+	}
+	// An op with no table row is refused outright, fenced or not.
+	if resp := srv.Handle(&proto.Message{Op: proto.Op(255), Epoch: 9}); resp.Status != proto.StatusError {
+		t.Fatalf("unknown op = %s, want error", resp.Status)
 	}
 	if n := reg.Counter(MetricStaleEpochRejections).Load(); n != 0 {
 		t.Fatalf("stale rejections = %d, want 0", n)

@@ -56,15 +56,13 @@ type Config struct {
 	// MaxInflight bounds concurrent handlers per transport connection
 	// (server-side admission queue depth). 0 means the transport default.
 	MaxInflight int
-	// MasterAddr, when set, is where device I/O failures are reported
-	// (MOpReportFailure): a chunk whose store or journal replay hits a
-	// persistent error asks the master for the §4.2.2 view change that
-	// re-replicates it elsewhere. Empty disables reporting.
-	MasterAddr string
-	// MasterAddrs lists every master endpoint when the control plane is
-	// replicated. Failure reports rotate through the list on transport
-	// errors or StatusNotPrimary redirects. fillDefaults folds MasterAddr
-	// in, so single-master configurations need not set this.
+	// MasterAddrs lists every master endpoint. Device I/O failures are
+	// reported there (MOpReportFailure): a chunk whose store or journal
+	// replay hits a persistent error asks the master for the §4.2.2 view
+	// change that re-replicates it elsewhere. Calls to the master rotate
+	// through the list on transport errors or StatusNotPrimary redirects.
+	// Empty disables reporting, cold-ref refreshes and materialization
+	// notices.
 	MasterAddrs []string
 	// ReportCooldown throttles per-chunk failure reports: a chunk taking
 	// sustained I/O errors reports at most once per cooldown, so a storm of
@@ -88,21 +86,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ReportCooldown <= 0 {
 		c.ReportCooldown = time.Second
-	}
-	if c.MasterAddr != "" {
-		found := false
-		for _, a := range c.MasterAddrs {
-			if a == c.MasterAddr {
-				found = true
-				break
-			}
-		}
-		if !found {
-			c.MasterAddrs = append([]string{c.MasterAddr}, c.MasterAddrs...)
-		}
-	}
-	if c.MasterAddr == "" && len(c.MasterAddrs) > 0 {
-		c.MasterAddr = c.MasterAddrs[0]
 	}
 }
 
@@ -263,32 +246,43 @@ func (s *Server) reportFailure(id blockstore.ChunkID, failedAddr string) {
 		if s.cfg.Metrics != nil {
 			op = op.WithSink(s.cfg.Metrics)
 		}
-		// Rotate through the master endpoints starting at the one that
-		// last answered: during a failover the old primary times out or
-		// redirects (StatusNotPrimary) and the report lands on a standby
-		// or the new primary on a later turn of the loop. Re-sending the
-		// same payload slice is safe — JSON buffers are foreign to
-		// bufpool, so the per-attempt Put is a no-op.
-		addrs := s.cfg.MasterAddrs
-		start := int(s.masterIdx.Load()) % len(addrs)
-		for i := 0; i < len(addrs); i++ {
-			idx := (start + i) % len(addrs)
-			resp, err := s.peers.Do(op, addrs[idx], &proto.Message{
-				Op:      proto.MOpReportFailure,
-				Payload: payload,
-			}, 0)
-			if err != nil {
-				continue
-			}
-			status := resp.Status
-			bufpool.Put(resp.Payload)
-			proto.Recycle(resp)
-			if status != proto.StatusNotPrimary {
-				s.masterIdx.Store(int64(idx))
-				return
-			}
-		}
+		releaseReply(s.callMaster(op, proto.MOpReportFailure, payload))
 	}()
+}
+
+// callMaster sends one request to the master group, starting at the
+// endpoint that last answered: during a failover the old primary times out
+// or redirects (StatusNotPrimary) and the request lands on the new primary
+// on a later turn of the loop. It returns the first reply that is not a
+// redirect (the caller owns it), or nil when every endpoint failed or
+// redirected. Re-sending the same payload slice is safe — JSON buffers are
+// foreign to bufpool, so the per-attempt Put is a no-op.
+func (s *Server) callMaster(op *opctx.Op, mop proto.Op, payload []byte) *proto.Message {
+	addrs := s.cfg.MasterAddrs
+	start := int(s.masterIdx.Load())
+	for i := range addrs {
+		idx := (start + i) % len(addrs)
+		resp, err := s.peers.Do(op, addrs[idx], &proto.Message{Op: mop, Payload: payload}, 0)
+		if err != nil {
+			continue
+		}
+		if resp.Status == proto.StatusNotPrimary {
+			releaseReply(resp)
+			continue
+		}
+		s.masterIdx.Store(int64(idx))
+		return resp
+	}
+	return nil
+}
+
+// releaseReply returns a reply's payload lease and frame to their pools
+// (nil-safe).
+func releaseReply(resp *proto.Message) {
+	if resp != nil {
+		bufpool.Put(resp.Payload)
+		proto.Recycle(resp)
+	}
 }
 
 // Serve starts handling requests on l. It returns immediately.
@@ -372,19 +366,22 @@ func (s *Server) Handle(m *proto.Message) *proto.Message {
 	defer func() {
 		s.upMu.Lock()
 		s.inflight--
-		if s.draining && s.inflight <= 1 {
+		if s.draining && s.inflight == 0 {
 			s.upCond.Broadcast()
 		}
 		s.upMu.Unlock()
 	}()
 
-	// Epoch fence: a master-driven command stamped with an epoch older
-	// than the newest this server has witnessed comes from a deposed
-	// master — reject it before it can touch views, versions, or chunk
-	// membership. Newer epochs are adopted (the new primary's fencing
-	// OpNop broadcast lands here too); epoch 0 is unfenced, which keeps
-	// client data-path ops and single-master clusters out of the protocol.
-	if m.Epoch != 0 && masterDriven(m.Op) {
+	e := &chunkOps[m.Op]
+	if e.handle == nil {
+		return m.Reply(proto.StatusError)
+	}
+	// Epoch fence: a master command stamped with an epoch older than the
+	// newest this server has witnessed comes from a deposed master — reject
+	// it before it can touch views, versions, or chunk membership. Newer
+	// epochs are adopted (the new primary's fencing OpNop broadcast lands
+	// here too).
+	if e.fenced {
 		if cur, adopted := s.witnessEpoch(m.Epoch); !adopted {
 			if s.cfg.Metrics != nil {
 				s.cfg.Metrics.Counter(MetricStaleEpochRejections).Inc()
@@ -402,62 +399,42 @@ func (s *Server) Handle(m *proto.Message) *proto.Message {
 	if s.cfg.Metrics != nil {
 		op = op.WithSink(s.cfg.Metrics)
 	}
-
-	switch m.Op {
-	case proto.OpNop:
-		return m.Reply(proto.StatusOK)
-	case proto.OpRead:
-		return s.handleRead(op, m)
-	case proto.OpWrite:
-		return s.handleWrite(op, m, true)
-	case proto.OpWritePrimary:
-		return s.handleWrite(op, m, false)
-	case proto.OpReplicate:
-		return s.handleReplicate(op, m)
-	case proto.OpGetVersion:
-		return s.handleGetVersion(m)
-	case proto.OpCreateChunk:
-		return s.handleCreateChunk(m)
-	case proto.OpDeleteChunk:
-		return s.handleDeleteChunk(m)
-	case proto.OpRepairSince:
-		return s.handleRepairSince(m)
-	case proto.OpApplyRepair:
-		return s.handleApplyRepair(m)
-	case proto.OpFetchChunk:
-		return s.handleFetchChunk(op, m)
-	case proto.OpFlushChunks:
-		return s.handleFlushChunks(op, m)
-	case proto.OpSetView:
-		return s.handleSetView(m)
-	case proto.OpCloneChunk:
-		return s.handleCloneChunk(op, m)
-	case proto.OpRepairFrom:
-		return s.handleRepairFrom(op, m)
-	case proto.OpRebuildSegment:
-		return s.handleRebuildSegment(op, m)
-	case proto.OpFetchSegment:
-		return s.handleFetchSegment(op, m)
-	case proto.OpUpgrade:
-		go s.Upgrade()
-		return m.Reply(proto.StatusOK)
-	default:
-		return m.Reply(proto.StatusError)
-	}
+	return e.handle(s, op, m)
 }
 
-// masterDriven reports whether op is a command only the master originates
-// — the set that must be epoch-fenced. Data-path ops (reads, writes,
-// replicates) are excluded: clients are fenced by view numbers, not
-// epochs. OpNop is included as the promotion broadcast vehicle.
-func masterDriven(op proto.Op) bool {
-	switch op {
-	case proto.OpNop, proto.OpCreateChunk, proto.OpDeleteChunk, proto.OpSetView,
-		proto.OpCloneChunk, proto.OpRepairFrom, proto.OpApplyRepair,
-		proto.OpRebuildSegment, proto.OpFlushChunks:
-		return true
-	}
-	return false
+// chunkOp is one row of the dispatch table: the handler, and whether the op
+// is a master command that must pass the epoch fence. Data-path ops (reads,
+// writes, replicates, repair pulls between replicas) are fenced by view
+// numbers, not epochs; OpNop is fenced as the promotion broadcast vehicle.
+// Rows are written positionally so none can leave fenced unstated.
+type chunkOp struct {
+	handle func(*Server, *opctx.Op, *proto.Message) *proto.Message
+	fenced bool
+}
+
+// chunkOps is indexed by proto.Op; a nil handle is an unknown op.
+var chunkOps = [256]chunkOp{
+	proto.OpNop:            {handleNop, true},
+	proto.OpRead:           {(*Server).handleRead, false},
+	proto.OpWrite:          {(*Server).handleWrite, false},
+	proto.OpWritePrimary:   {(*Server).handleWrite, false},
+	proto.OpReplicate:      {(*Server).handleReplicate, false},
+	proto.OpGetVersion:     {(*Server).handleGetVersion, false},
+	proto.OpCreateChunk:    {(*Server).handleCreateChunk, true},
+	proto.OpDeleteChunk:    {(*Server).handleDeleteChunk, true},
+	proto.OpRepairSince:    {(*Server).handleRepairSince, false},
+	proto.OpApplyRepair:    {(*Server).handleApplyRepair, true},
+	proto.OpFetchChunk:     {(*Server).handleFetchChunk, false},
+	proto.OpFlushChunks:    {(*Server).handleFlushChunks, true},
+	proto.OpSetView:        {(*Server).handleSetView, true},
+	proto.OpCloneChunk:     {(*Server).handleCloneChunk, true},
+	proto.OpRepairFrom:     {(*Server).handleRepairFrom, true},
+	proto.OpRebuildSegment: {(*Server).handleRebuildSegment, true},
+	proto.OpFetchSegment:   {(*Server).handleFetchSegment, false},
+}
+
+func handleNop(_ *Server, _ *opctx.Op, m *proto.Message) *proto.Message {
+	return m.Reply(proto.StatusOK)
 }
 
 // witnessEpoch folds e into the newest-witnessed master epoch: adopted
@@ -541,7 +518,7 @@ func (s *Server) newChunkStateFrom(req CreateChunkReq) (*chunkState, error) {
 	return cs, nil
 }
 
-func (s *Server) handleCreateChunk(m *proto.Message) *proto.Message {
+func (s *Server) handleCreateChunk(_ *opctx.Op, m *proto.Message) *proto.Message {
 	var req CreateChunkReq
 	if len(m.Payload) > 0 {
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
@@ -575,7 +552,7 @@ func (s *Server) handleCreateChunk(m *proto.Message) *proto.Message {
 	return m.Reply(proto.StatusOK)
 }
 
-func (s *Server) handleDeleteChunk(m *proto.Message) *proto.Message {
+func (s *Server) handleDeleteChunk(_ *opctx.Op, m *proto.Message) *proto.Message {
 	sh := s.shard(m.Chunk)
 	sh.mu.Lock()
 	cs := sh.m[m.Chunk]
@@ -597,7 +574,7 @@ func (s *Server) handleDeleteChunk(m *proto.Message) *proto.Message {
 	return m.Reply(proto.StatusOK)
 }
 
-func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
+func (s *Server) handleGetVersion(_ *opctx.Op, m *proto.Message) *proto.Message {
 	cs := s.chunk(m.Chunk)
 	if cs == nil {
 		return m.Reply(proto.StatusNotFound)
@@ -610,7 +587,7 @@ func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
 	return r
 }
 
-func (s *Server) handleSetView(m *proto.Message) *proto.Message {
+func (s *Server) handleSetView(_ *opctx.Op, m *proto.Message) *proto.Message {
 	cs := s.chunk(m.Chunk)
 	if cs == nil {
 		return m.Reply(proto.StatusNotFound)
@@ -920,13 +897,13 @@ func (s *Server) awaitCommit(cs *chunkState, op *opctx.Op, want uint64) (uint64,
 	return cs.version, cs.version >= want
 }
 
-// handleWrite is the primary write path: apply locally, optionally
-// replicate to backups (forward=false under client-directed replication),
-// and commit by the all-or-majority-after-timeout rule. The chunk lock is
+// handleWrite is the primary write path: apply locally, replicate to
+// backups (OpWrite only; under client-directed replication the client sends
+// OpWritePrimary and replicates itself), and commit by the all-or-majority-after-timeout rule. The chunk lock is
 // held only for slot admission: the SSD write itself runs out of lock,
 // concurrently with other same-chunk writes whose extents do not overlap,
 // and the ack waits for the committed version to reach this write's slot.
-func (s *Server) handleWrite(op *opctx.Op, m *proto.Message, forward bool) *proto.Message {
+func (s *Server) handleWrite(op *opctx.Op, m *proto.Message) *proto.Message {
 	if err := validRange(m.Off, len(m.Payload)); err != nil {
 		return m.Reply(proto.StatusError)
 	}
@@ -961,7 +938,7 @@ func (s *Server) handleWrite(op *opctx.Op, m *proto.Message, forward bool) *prot
 	// alone, so its fan-out starts before even the dependency wait; RS
 	// parity deltas need the pre-write bytes, so planning waits for
 	// overlapping predecessors and reads the old range first.
-	doFanout := forward && len(backups) > 0
+	doFanout := m.Op == proto.OpWrite && len(backups) > 0
 	var replCh chan bool
 	startFanout := func(ships []redundancy.Shipment) {
 		replCh = make(chan bool, 1)
@@ -1268,7 +1245,7 @@ func (s *Server) applyBackupWrite(op *opctx.Op, m *proto.Message, data []byte) e
 
 // handleRepairSince serves incremental repair: the ranges modified after
 // m.Version plus their current data (§4.2.1).
-func (s *Server) handleRepairSince(m *proto.Message) *proto.Message {
+func (s *Server) handleRepairSince(_ *opctx.Op, m *proto.Message) *proto.Message {
 	cs := s.chunk(m.Chunk)
 	if cs == nil {
 		return m.Reply(proto.StatusNotFound)
@@ -1306,7 +1283,7 @@ func (s *Server) handleRepairSince(m *proto.Message) *proto.Message {
 
 // handleApplyRepair installs repair data and adopts the source's version
 // (carried in m.Version).
-func (s *Server) handleApplyRepair(m *proto.Message) *proto.Message {
+func (s *Server) handleApplyRepair(_ *opctx.Op, m *proto.Message) *proto.Message {
 	cs := s.chunk(m.Chunk)
 	if cs == nil {
 		return m.Reply(proto.StatusNotFound)
@@ -1528,7 +1505,7 @@ func (s *Server) handleRepairFrom(op *opctx.Op, m *proto.Message) *proto.Message
 			Version: resp.Version,
 			Payload: resp.Payload,
 		}
-		r := s.handleApplyRepair(apply)
+		r := s.handleApplyRepair(op, apply)
 		bufpool.Put(resp.Payload) // applied synchronously; the lease ends here
 		return r
 	case proto.StatusFallback:
@@ -1550,7 +1527,7 @@ func (s *Server) Upgrade() {
 		return // an upgrade is already in progress
 	}
 	s.draining = true
-	for s.inflight > 1 { // >1: the OpUpgrade handler itself
+	for s.inflight > 0 {
 		s.upCond.Wait()
 	}
 	s.upGen.Add(1)

@@ -21,13 +21,10 @@ import (
 type Config struct {
 	// Name identifies this client as a lease holder.
 	Name string
-	// MasterAddr locates the master service.
-	MasterAddr string
-	// MasterAddrs lists every master endpoint when the metadata service is
-	// replicated. Metadata calls rotate through the list on transport
-	// faults and follow StatusNotPrimary redirect hints, so the client
-	// finds the promoted primary after a failover. Empty means the single
-	// MasterAddr.
+	// MasterAddrs lists every master endpoint (one for a lone master).
+	// Metadata calls rotate through the list on transport faults and
+	// follow StatusNotPrimary redirect hints, so the client finds the
+	// promoted primary after a failover.
 	MasterAddrs []string
 	// Clock supplies time.
 	Clock clock.Clock
@@ -93,9 +90,7 @@ func (c *Config) fillDefaults() {
 		c.Name = "client"
 	}
 	if len(c.MasterAddrs) == 0 {
-		c.MasterAddrs = []string{c.MasterAddr}
-	} else if c.MasterAddr == "" {
-		c.MasterAddr = c.MasterAddrs[0]
+		c.MasterAddrs = []string{""} // no master: metadata calls fail to dial
 	}
 }
 
@@ -251,8 +246,8 @@ func (c *Client) masterCall(op proto.Op, req any, out any) (proto.Status, error)
 // masterCallT is masterCall with an explicit deadline budget, for callers
 // sitting on a tighter clock than MasterTimeout.
 //
-// With one configured master endpoint this is a single attempt, exactly the
-// unreplicated behavior. With several, the call hunts for the primary until
+// With one configured master endpoint (a lone master) this is a single
+// attempt. With several, the call hunts for the primary until
 // the budget runs out: transport faults rotate to the next endpoint,
 // StatusNotPrimary follows the standby's redirect hint (or rotates when the
 // standby doesn't know a primary yet), and attempts are spaced by the

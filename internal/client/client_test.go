@@ -95,7 +95,7 @@ func newEnv(t *testing.T) *env {
 func (e *env) client(t *testing.T, name string) *Client {
 	t.Helper()
 	cl := New(Config{
-		Name: name, MasterAddr: "master", Clock: e.clk,
+		Name: name, MasterAddrs: []string{"master"}, Clock: e.clk,
 		Dialer:      e.net.Dialer("client-"+name, transport.NodeConfig{}),
 		CallTimeout: 300 * time.Millisecond,
 	})
@@ -146,7 +146,7 @@ func TestClientRegistryMetrics(t *testing.T) {
 	e := newEnv(t)
 	reg := metrics.NewRegistry()
 	cl := New(Config{
-		Name: "m", MasterAddr: "master", Clock: e.clk,
+		Name: "m", MasterAddrs: []string{"master"}, Clock: e.clk,
 		Dialer:      e.net.Dialer("client-m", transport.NodeConfig{}),
 		CallTimeout: 300 * time.Millisecond,
 		Metrics:     reg,

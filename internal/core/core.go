@@ -92,10 +92,10 @@ type Options struct {
 	// server and client feeds the same registry, so one table decomposes
 	// where an I/O's time went. nil = a fresh registry.
 	Metrics *metrics.Registry
-	// Masters is the number of master replicas (default 1, the unreplicated
-	// configuration). With more, the metadata service runs the replication
-	// protocol: the primary ships its op log to hot standbys and a standby
-	// promotes itself — bumping the fencing epoch — when the primary dies.
+	// Masters is the number of master replicas (default 1, a group of one
+	// that runs the same protocol with nobody to ship to). With more, the
+	// primary ships its op log to hot standbys and a standby promotes
+	// itself — bumping the fencing epoch — when the primary dies.
 	Masters int
 	// MasterPrimacyTTL is the replicated masters' primacy lease (0 = the
 	// master default). Failover blackout scales with it.
@@ -299,10 +299,6 @@ func (c *Cluster) newMaster(i int, join bool) (*master.Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	var peers []string
-	if len(c.masterAddrs) > 1 {
-		peers = append([]string(nil), c.masterAddrs...)
-	}
 	m := master.New(master.Config{
 		Addr:           addr,
 		Clock:          c.opts.Clock,
@@ -313,7 +309,7 @@ func (c *Cluster) newMaster(i int, join bool) (*master.Master, error) {
 		RPCTimeout:     c.opts.CallTimeout,
 		HybridMode:     c.opts.Mode == Hybrid,
 		Metrics:        c.opts.Metrics,
-		Peers:          peers,
+		Peers:          append([]string(nil), c.masterAddrs...),
 		PrimacyTTL:     c.opts.MasterPrimacyTTL,
 		JoinStandby:    join,
 		ObjstoreAddr:   ObjstoreAddr,
@@ -376,7 +372,6 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 				Metrics:     opts.Metrics,
 				MaxInflight: opts.ServerMaxInflight,
 				SerialApply: opts.SerialApply,
-				MasterAddr:  MasterAddr,
 				MasterAddrs: c.masterAddrs,
 			}, store, nil)
 			if err := c.startServer(m, srv, nodeCfg); err != nil {
@@ -422,7 +417,6 @@ func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig, regist
 			Metrics:     opts.Metrics,
 			MaxInflight: opts.ServerMaxInflight,
 			SerialApply: opts.SerialApply,
-			MasterAddr:  MasterAddr,
 			MasterAddrs: c.masterAddrs,
 		}, store, nil)
 		if err := c.startServer(m, srv, nodeCfg); err != nil {
@@ -487,7 +481,6 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 			BypassThreshold: opts.BypassThreshold,
 			MaxInflight:     opts.ServerMaxInflight,
 			SerialApply:     opts.SerialApply,
-			MasterAddr:      MasterAddr,
 			MasterAddrs:     c.masterAddrs,
 		}, store, jset)
 		if err := c.startServer(m, srv, nodeCfg); err != nil {
@@ -528,7 +521,6 @@ func (c *Cluster) NewClient(name string) *client.Client {
 	cfg := transport.NodeConfig{InRate: c.opts.NICRate, OutRate: c.opts.NICRate}
 	cl := client.New(client.Config{
 		Name:          name,
-		MasterAddr:    MasterAddr,
 		MasterAddrs:   c.masterAddrs,
 		Clock:         c.clk,
 		Dialer:        c.Net.Dialer(name, cfg),

@@ -126,6 +126,45 @@ func TestHybridWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoneMasterClusterIsEpochFenced checks that the default one-master
+// cluster runs the replicated protocol as a group of one: its master is
+// primary at epoch 1, every chunkserver it commands witnesses epoch 1, and
+// each metadata mutation appends one op-log entry.
+func TestLoneMasterClusterIsEpochFenced(t *testing.T) {
+	c := testCluster(t, Hybrid)
+	if !c.Master.IsPrimary() || c.Master.Epoch() != 1 {
+		t.Fatalf("master: primary=%v epoch=%d, want primary at epoch 1", c.Master.IsPrimary(), c.Master.Epoch())
+	}
+	seq := c.Master.LogSeq()
+	cl := c.NewClient("lone")
+	// Eight chunks are enough for round-robin placement to put a replica
+	// on every one of the cluster's 4 SSD and 8 HDD servers.
+	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "lone", Size: 8 * util.ChunkSize}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Master.LogSeq(); got != seq+1 {
+		t.Fatalf("LogSeq after create = %d, want %d", got, seq+1)
+	}
+	for _, addr := range c.ServerAddrs() {
+		if e := c.Server(addr).MasterEpoch(); e != 1 {
+			t.Errorf("%s witnessed master epoch %d, want 1", addr, e)
+		}
+	}
+	vd, err := cl.Open("lone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Master.LogSeq(); got != seq+2 {
+		t.Fatalf("LogSeq after open = %d, want %d", got, seq+2)
+	}
+	if err := vd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Master.LogSeq(); got != seq+3 {
+		t.Fatalf("LogSeq after close = %d, want %d", got, seq+3)
+	}
+}
+
 func TestSSDOnlyMode(t *testing.T) {
 	c := testCluster(t, SSDOnly)
 	cl := c.NewClient("c1")

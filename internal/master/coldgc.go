@@ -141,7 +141,7 @@ func (m *Master) liveRefsBySegLocked() map[uint64][]coldtier.ExtentRef {
 // segment. Returns the live bytes moved.
 func (m *Master) gcRewrite(op *opctx.Op, oldSeg uint64, refs []coldtier.ExtentRef) (int64, error) {
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		m.mu.Unlock()
 		return 0, m.errNotPrimary("gc rewrite")
 	}
@@ -178,7 +178,7 @@ func (m *Master) gcRewrite(op *opctx.Op, oldSeg uint64, refs []coldtier.ExtentRe
 	}
 
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		// Deposed mid-rewrite: drop everything. The new segments carry no
 		// references and sit below the new primary's replicated watermark,
 		// so its GC deletes them.

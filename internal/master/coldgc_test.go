@@ -15,7 +15,7 @@ import (
 	"ursa/internal/util"
 )
 
-// coldGCEnv is an unreplicated master wired to a near-free object store on
+// coldGCEnv is a lone master wired to a near-free object store on
 // a simnet — just enough to drive RunColdGC against hand-crafted metadata.
 type coldGCEnv struct {
 	m     *Master

@@ -35,8 +35,8 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Peers lists every master endpoint, including this master's own Addr,
 	// in promotion-priority order (index = rank; Peers[0] bootstraps as
-	// primary). One entry or fewer disables replication entirely: the
-	// master is always primary and stamps no epochs.
+	// primary). One entry or fewer is the group {Addr}: a lone master runs
+	// the same protocol as a replicated one, with nobody to ship its log to.
 	Peers []string
 	// PrimacyTTL is the master-primacy lease: the primary heartbeats every
 	// PrimacyTTL/4 and a standby promotes after roughly one TTL of
@@ -73,8 +73,8 @@ func (c *Config) fillDefaults() {
 	if c.PrimacyTTL <= 0 {
 		c.PrimacyTTL = 2 * time.Second
 	}
-	if len(c.Peers) == 1 {
-		c.Peers = nil // a single endpoint is the unreplicated configuration
+	if len(c.Peers) <= 1 {
+		c.Peers = []string{c.Addr}
 	}
 	if c.GCLiveFraction <= 0 {
 		c.GCLiveFraction = 0.5
@@ -131,8 +131,7 @@ type Master struct {
 	recMu      sync.Mutex
 	recovering map[uint64]chan struct{}
 
-	// Replication state (guarded by mu; see replication.go). epoch 0 with
-	// primary=true is the unreplicated configuration.
+	// Replication state (guarded by mu; see replication.go).
 	primary     bool
 	epoch       uint64
 	primaryAddr string    // best-known primary endpoint
@@ -155,9 +154,9 @@ type Master struct {
 	rpc *transport.Server
 }
 
-// New creates a master. With cfg.Peers configured it also starts the
-// replication machinery (log shippers toward every other endpoint and the
-// promotion monitor); Close stops them.
+// New creates a master and starts its replication machinery: a log shipper
+// toward every other endpoint in cfg.Peers (none for a lone master) and the
+// promotion monitor. Close stops them.
 func New(cfg Config) *Master {
 	cfg.fillDefaults()
 	m := &Master{
@@ -171,9 +170,6 @@ func New(cfg Config) *Master {
 		coldReports: make(map[uint64]map[string]bool),
 	}
 	m.peers.SetRedial(backoff.Policy{Base: cfg.RPCTimeout / 40, Cap: cfg.RPCTimeout / 4}, 2)
-	if !m.replicationEnabled() {
-		m.primary = true
-	}
 	m.initReplication()
 	if cfg.ObjstoreAddr != "" {
 		m.coldCl = coldtier.NewClient(m.peers, cfg.ObjstoreAddr)
@@ -223,17 +219,15 @@ func (m *Master) addServerLocked(addr, machine string, ssd bool) bool {
 
 // call performs one RPC to a chunk server through the shared peer pool,
 // which evicts the cached connection on transport faults so the next use
-// redials. Requests are stamped with the current primacy epoch (zero when
-// replication is off) and a StatusStaleEpoch rejection deposes this
-// master on the spot: some chunkserver has witnessed a newer primary.
+// redials. Requests are stamped with the current primacy epoch and a
+// StatusStaleEpoch rejection deposes this master on the spot: some
+// chunkserver has witnessed a newer primary.
 func (m *Master) call(addr string, req *proto.Message) (*proto.Message, error) {
 	return m.callT(addr, req, m.cfg.RPCTimeout)
 }
 
 func (m *Master) callT(addr string, req *proto.Message, timeout time.Duration) (*proto.Message, error) {
-	if m.replicationEnabled() {
-		req.Epoch = m.Epoch()
-	}
+	req.Epoch = m.Epoch()
 	resp, err := m.peers.Call(addr, req, timeout)
 	if err == nil && resp.Status == proto.StatusStaleEpoch {
 		m.fencedByEpoch(resp.Epoch)
@@ -241,57 +235,50 @@ func (m *Master) callT(addr string, req *proto.Message, timeout time.Duration) (
 	return resp, err
 }
 
-// Handle dispatches master RPCs. Replication control traffic
-// (MOpReplicateLog, MOpMasterInfo) is served in any role; every other op
-// is a client/chunkserver metadata op that only the primary may serve —
-// standbys answer StatusNotPrimary with a redirect hint. The handlers
+// masterOp is one row of the master's dispatch table. anyRole marks the
+// replication control traffic a standby serves too; every other op is a
+// client/chunkserver metadata op that only the primary may serve. Rows are
+// written positionally so none can leave anyRole unstated.
+type masterOp struct {
+	handle  func(*Master, *proto.Message) jsonResult
+	anyRole bool
+}
+
+var masterOps = map[proto.Op]masterOp{
+	proto.MOpReplicateLog:      {(*Master).handleReplicateLog, true},
+	proto.MOpMasterInfo:        {(*Master).handleMasterInfo, true},
+	proto.MOpCreateVDisk:       {(*Master).handleCreate, false},
+	proto.MOpOpenVDisk:         {(*Master).handleOpen, false},
+	proto.MOpRenewLease:        {(*Master).handleRenew, false},
+	proto.MOpCloseVDisk:        {(*Master).handleClose, false},
+	proto.MOpDeleteVDisk:       {(*Master).handleDelete, false},
+	proto.MOpReportFailure:     {(*Master).handleReportFailure, false},
+	proto.MOpGetVDisk:          {(*Master).handleGet, false},
+	proto.MOpStats:             {(*Master).handleStats, false},
+	proto.MOpRegister:          {(*Master).handleRegister, false},
+	proto.MOpSnapshot:          {(*Master).handleSnapshot, false},
+	proto.MOpCloneFromSnapshot: {(*Master).handleClone, false},
+	proto.MOpDeleteSnapshot:    {(*Master).handleDeleteSnapshot, false},
+	proto.MOpChunkMaterialized: {(*Master).handleMaterialized, false},
+	proto.MOpGetColdRefs:       {(*Master).handleGetColdRefs, false},
+}
+
+// Handle dispatches master RPCs through masterOps. A standby answers
+// primary-only ops with StatusNotPrimary and a redirect hint. The handlers
 // re-check primacy under m.mu before mutating, so a deposition racing an
 // in-flight request cannot smuggle an unlogged mutation into a standby.
 func (m *Master) Handle(msg *proto.Message) *proto.Message {
-	switch msg.Op {
-	case proto.MOpReplicateLog:
-		return m.jsonReply(msg, m.handleReplicateLog(msg))
-	case proto.MOpMasterInfo:
-		return m.jsonReply(msg, m.handleMasterInfo(msg))
+	op, known := masterOps[msg.Op]
+	if !known {
+		return msg.Reply(proto.StatusError)
 	}
-	if m.replicationEnabled() && !m.IsPrimary() {
+	if !op.anyRole && !m.IsPrimary() {
 		m.mu.Lock()
 		res := m.notPrimaryLocked()
 		m.mu.Unlock()
 		return m.jsonReply(msg, res)
 	}
-	switch msg.Op {
-	case proto.MOpCreateVDisk:
-		return m.jsonReply(msg, m.handleCreate(msg))
-	case proto.MOpOpenVDisk:
-		return m.jsonReply(msg, m.handleOpen(msg))
-	case proto.MOpRenewLease:
-		return m.jsonReply(msg, m.handleRenew(msg))
-	case proto.MOpCloseVDisk:
-		return m.jsonReply(msg, m.handleClose(msg))
-	case proto.MOpDeleteVDisk:
-		return m.jsonReply(msg, m.handleDelete(msg))
-	case proto.MOpReportFailure:
-		return m.jsonReply(msg, m.handleReportFailure(msg))
-	case proto.MOpGetVDisk:
-		return m.jsonReply(msg, m.handleGet(msg))
-	case proto.MOpStats:
-		return m.jsonReply(msg, m.handleStats(msg))
-	case proto.MOpRegister:
-		return m.jsonReply(msg, m.handleRegister(msg))
-	case proto.MOpSnapshot:
-		return m.jsonReply(msg, m.handleSnapshot(msg))
-	case proto.MOpCloneFromSnapshot:
-		return m.jsonReply(msg, m.handleClone(msg))
-	case proto.MOpDeleteSnapshot:
-		return m.jsonReply(msg, m.handleDeleteSnapshot(msg))
-	case proto.MOpChunkMaterialized:
-		return m.jsonReply(msg, m.handleMaterialized(msg))
-	case proto.MOpGetColdRefs:
-		return m.jsonReply(msg, m.handleGetColdRefs(msg))
-	default:
-		return msg.Reply(proto.StatusError)
-	}
+	return m.jsonReply(msg, op.handle(m, msg))
 }
 
 // jsonResult pairs a status with a JSON-encodable body.

@@ -63,7 +63,7 @@ func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr stri
 	// recovery here would race the real primary's recovery of the same
 	// chunk (its commands are also fenced per-RPC below, this just fails
 	// fast).
-	if m.replicationEnabled() && !m.IsPrimary() {
+	if !m.IsPrimary() {
 		return nil, m.errNotPrimary(fmt.Sprintf("recover c%d.%d", vdiskID, chunkIndex))
 	}
 	// One recovery per chunk at a time. Reporters re-fire on a cooldown much
@@ -237,7 +237,7 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 // or replicate — a view the new primary knows nothing about.
 func (m *Master) installViewChange(t0 time.Time, vdiskID, chunkIndex uint32, newMeta ChunkMeta) (*ChunkMeta, error) {
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		m.mu.Unlock()
 		return nil, m.errNotPrimary(fmt.Sprintf("install view for c%d.%d", vdiskID, chunkIndex))
 	}

@@ -147,10 +147,6 @@ type MasterInfoResp struct {
 	LogSeq    uint64   `json:"logSeq"`
 }
 
-// replicationEnabled reports whether this master runs the replication
-// protocol (two or more configured endpoints).
-func (m *Master) replicationEnabled() bool { return len(m.cfg.Peers) > 1 }
-
 // rank returns this master's promotion priority: its index in cfg.Peers.
 func (m *Master) rank() int {
 	for i, p := range m.cfg.Peers {
@@ -164,11 +160,10 @@ func (m *Master) rank() int {
 // initReplication sets the initial role and starts the shipper and monitor
 // goroutines. Rank 0 bootstraps as the primary at epoch 1 unless it joins
 // an already-running cluster (JoinStandby: a healed master must discover
-// the current epoch rather than resurrect epoch 1).
+// the current epoch rather than resurrect epoch 1). A lone master is the
+// group {Addr}: rank 0, no shippers, and a monitor that promotes a joining
+// standby after one PrimacyTTL because there is nobody to probe.
 func (m *Master) initReplication() {
-	if !m.replicationEnabled() {
-		return
-	}
 	m.closedCh = make(chan struct{})
 	m.shipKick = make(map[string]chan struct{})
 	m.lastHeard = m.cfg.Clock.Now()
@@ -193,19 +188,12 @@ func (m *Master) initReplication() {
 
 // stopReplication terminates the background goroutines (idempotent).
 func (m *Master) stopReplication() {
-	if m.closedCh == nil {
-		return
-	}
 	m.closeOnce.Do(func() { close(m.closedCh) })
 	m.wg.Wait()
 }
 
-// IsPrimary reports whether this master currently holds primacy. A master
-// without replication configured is always primary.
+// IsPrimary reports whether this master currently holds primacy.
 func (m *Master) IsPrimary() bool {
-	if !m.replicationEnabled() {
-		return true
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.primary
@@ -214,7 +202,7 @@ func (m *Master) IsPrimary() bool {
 // Addr returns the address this master serves at.
 func (m *Master) Addr() string { return m.cfg.Addr }
 
-// Epoch returns the current primacy epoch (0 when replication is off).
+// Epoch returns the current primacy epoch (0 until a standby hears of one).
 func (m *Master) Epoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -229,10 +217,9 @@ func (m *Master) LogSeq() uint64 {
 }
 
 // appendLocked records one mutation in the replicated log (m.mu held).
-// Only an acting primary originates entries; single-master configurations
-// skip logging entirely.
+// Only an acting primary originates entries.
 func (m *Master) appendLocked(kind string, v any) {
-	if !m.replicationEnabled() || !m.primary {
+	if !m.primary {
 		return
 	}
 	data, err := json.Marshal(v)
@@ -396,7 +383,7 @@ func (m *Master) adoptEpochLocked(epoch uint64, from string) {
 func (m *Master) fencedByEpoch(epoch uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.replicationEnabled() || epoch < m.epoch {
+	if epoch < m.epoch {
 		return
 	}
 	if m.primary || epoch > m.epoch {
@@ -422,11 +409,6 @@ func (m *Master) masterInfoLocked() MasterInfoResp {
 	} else {
 		info.Primary = m.primaryAddr
 	}
-	if !m.replicationEnabled() {
-		info.IsPrimary = true
-		info.Primary = m.cfg.Addr
-		info.Endpoints = []string{m.cfg.Addr}
-	}
 	return info
 }
 
@@ -445,9 +427,6 @@ func (m *Master) notPrimaryLocked() jsonResult {
 // handleReplicateLog applies a shipped batch (or heartbeat) from a
 // claimed primary.
 func (m *Master) handleReplicateLog(msg *proto.Message) jsonResult {
-	if !m.replicationEnabled() {
-		return fail(proto.StatusError)
-	}
 	var req ReplicateLogReq
 	if err := json.Unmarshal(msg.Payload, &req); err != nil {
 		return fail(proto.StatusError)

@@ -302,3 +302,64 @@ func TestOpenRacesFailover(t *testing.T) {
 		t.Fatalf("promoted epoch = %d, want >= 2", promoted.Epoch())
 	}
 }
+
+// TestLoneMasterIsGroupOfOne checks that a master configured without Peers
+// runs the replicated protocol as the group {Addr}: primary at epoch 1,
+// appending one log entry per metadata mutation, and advertising itself as
+// the only endpoint.
+func TestLoneMasterIsGroupOfOne(t *testing.T) {
+	e := newEnv(t, 4, true)
+	if !e.m.IsPrimary() || e.m.Epoch() != 1 {
+		t.Fatalf("lone master: primary=%v epoch=%d, want primary at epoch 1", e.m.IsPrimary(), e.m.Epoch())
+	}
+	seq := e.m.LogSeq()
+	if seq != 8 {
+		t.Fatalf("LogSeq after 8 registrations = %d, want 8", seq)
+	}
+	step := func(what string, op proto.Op, req, out any) {
+		t.Helper()
+		if st := e.call(t, op, req, out); st != proto.StatusOK {
+			t.Fatalf("%s: %s", what, st)
+		}
+		seq++
+		if got := e.m.LogSeq(); got != seq {
+			t.Fatalf("LogSeq after %s = %d, want %d", what, got, seq)
+		}
+	}
+	var meta VDiskMeta
+	step("create", proto.MOpCreateVDisk, CreateVDiskReq{Name: "lone", Size: util.ChunkSize}, &meta)
+	step("open", proto.MOpOpenVDisk, OpenVDiskReq{Name: "lone", Client: "c"}, nil)
+	step("renew", proto.MOpRenewLease, LeaseReq{ID: meta.ID, Client: "c"}, nil)
+	step("close", proto.MOpCloseVDisk, LeaseReq{ID: meta.ID, Client: "c"}, nil)
+	step("delete", proto.MOpDeleteVDisk, GetVDiskReq{ID: meta.ID}, nil)
+
+	var info MasterInfoResp
+	if st := e.call(t, proto.MOpMasterInfo, nil, &info); st != proto.StatusOK {
+		t.Fatalf("master info: %s", st)
+	}
+	if !info.IsPrimary || info.Primary != "master" || info.Epoch != 1 ||
+		len(info.Endpoints) != 1 || info.Endpoints[0] != "master" {
+		t.Fatalf("master info = %+v, want primary master at epoch 1, endpoints [master]", info)
+	}
+}
+
+// TestLoneStandbyPromotesItself checks that a lone master joining as a
+// standby has nobody to probe and promotes itself after one PrimacyTTL of
+// silence.
+func TestLoneStandbyPromotesItself(t *testing.T) {
+	clk := clock.NewScaled(0.05)
+	const ttl = 2 * time.Second
+	t0 := clk.Now()
+	m := New(Config{Addr: "master", Clock: clk, PrimacyTTL: ttl, JoinStandby: true})
+	t.Cleanup(m.Close)
+	if m.IsPrimary() || m.Epoch() != 0 {
+		t.Fatalf("joining lone master: primary=%v epoch=%d, want standby at epoch 0", m.IsPrimary(), m.Epoch())
+	}
+	waitPromoted(t, m)
+	if waited := clk.Now().Sub(t0); waited < ttl {
+		t.Fatalf("promoted after %v, before one PrimacyTTL (%v)", waited, ttl)
+	}
+	if m.Epoch() != 1 {
+		t.Fatalf("epoch after self-promotion = %d, want 1", m.Epoch())
+	}
+}

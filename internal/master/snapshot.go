@@ -92,7 +92,7 @@ func (m *Master) SnapshotVDisk(vdiskName, snapName string) (*SnapshotMeta, error
 			snapName, util.ErrNotFound)
 	}
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		m.mu.Unlock()
 		return nil, m.errNotPrimary("snapshot " + snapName)
 	}
@@ -175,7 +175,7 @@ func (m *Master) SnapshotVDisk(vdiskName, snapName string) (*SnapshotMeta, error
 	// Re-check primacy under the lock: a master deposed mid-flush must not
 	// record a snapshot the new primary knows nothing about. The flushed
 	// segments become garbage the new primary's GC collects.
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		m.mu.Unlock()
 		return nil, m.errNotPrimary("snapshot " + snapName)
 	}
@@ -214,7 +214,7 @@ func (m *Master) CloneFromSnapshot(req CloneReq) (*VDiskMeta, error) {
 		repl = m.cfg.Replication
 	}
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		m.mu.Unlock()
 		return nil, m.errNotPrimary("clone " + req.Name)
 	}
@@ -275,7 +275,7 @@ func (m *Master) CloneFromSnapshot(req CloneReq) (*VDiskMeta, error) {
 func (m *Master) DeleteSnapshot(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		return m.errNotPrimary("delete snapshot " + name)
 	}
 	if _, okName := m.snapshots[name]; !okName {
@@ -312,7 +312,7 @@ func (m *Master) handleMaterialized(msg *proto.Message) jsonResult {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		return m.notPrimaryLocked()
 	}
 	vd, okID := m.vdisks[req.VDisk]

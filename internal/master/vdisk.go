@@ -70,7 +70,7 @@ func (m *Master) CreateVDisk(req CreateVDiskReq) (*VDiskMeta, error) {
 	}
 
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		m.mu.Unlock()
 		return nil, m.errNotPrimary("create " + req.Name)
 	}
@@ -212,7 +212,7 @@ func (m *Master) handleOpen(msg *proto.Message) jsonResult {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		return m.notPrimaryLocked()
 	}
 	id, okName := m.byName[req.Name]
@@ -237,7 +237,7 @@ func (m *Master) handleRenew(msg *proto.Message) jsonResult {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		return m.notPrimaryLocked()
 	}
 	vd, okID := m.vdisks[req.ID]
@@ -273,7 +273,7 @@ func (m *Master) handleClose(msg *proto.Message) jsonResult {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replicationEnabled() && !m.primary {
+	if !m.primary {
 		return m.notPrimaryLocked()
 	}
 	vd, okID := m.vdisks[req.ID]

@@ -59,8 +59,9 @@ const (
 	OpApplyRepair
 	// OpSetView installs a new view number on the replica (view change).
 	OpSetView
-	// OpUpgrade asks the server to perform a graceful hot upgrade (§5.2).
-	OpUpgrade
+	// Reserved: renumbering the ops below would make peers of different
+	// versions (mid rolling upgrade) misread them.
+	_
 	// OpCloneChunk tells a newly allocated replica to pull the whole chunk
 	// from a source replica (failure recovery, §4.2.2).
 	OpCloneChunk
