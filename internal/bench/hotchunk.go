@@ -23,12 +23,11 @@ import (
 // alongside its table, for regression tracking across PRs.
 const hotchunkBenchJSON = "BENCH_hotchunk.json"
 
-// hotchunkCell is one (mode, queue depth, admission bound) measurement of
-// 4 KiB random writes against a single chunk.
+// hotchunkCell is one (mode, queue depth) measurement of 4 KiB random
+// writes against a single chunk.
 type hotchunkCell struct {
 	Mode         string  `json:"mode"` // locked (SerialApply) | pipelined
 	QD           int     `json:"qd"`
-	MaxInflight  int     `json:"max_inflight"` // 0 = transport default
 	WritesPerSec float64 `json:"writes_per_sec"`
 	MeanLatMs    float64 `json:"mean_lat_ms"`
 	P99LatMs     float64 `json:"p99_lat_ms"`
@@ -47,10 +46,11 @@ type hotchunkCell struct {
 }
 
 type hotchunkBenchDoc struct {
-	Bench    string         `json:"bench"`
-	Quick    bool           `json:"quick"`
-	Baseline string         `json:"baseline"`
-	Cells    []hotchunkCell `json:"cells"`
+	Bench      string         `json:"bench"`
+	Quick      bool           `json:"quick"`
+	Provenance Provenance     `json:"provenance"`
+	Baseline   string         `json:"baseline"`
+	Cells      []hotchunkCell `json:"cells"`
 	// SpeedupQD maps queue depth to pipelined/locked throughput ratio.
 	SpeedupQD map[string]float64 `json:"speedup_by_qd"`
 }
@@ -62,11 +62,10 @@ var hotchunkChunk = blockstore.MakeChunkID(7, 0)
 // group (primary SSD, two backups journaling to SSD) at the given client
 // queue depth. serial=true runs the chunk server with SerialApply — the
 // locked baseline, where same-chunk applies run strictly one at a time as
-// they did when the chunk mutex covered the device I/O. maxInflight
-// overrides the per-connection server admission bound (0 = default). The
-// journal sets are not Started: the cell isolates the write pipeline from
-// replay traffic.
-func runHotchunkCell(cfg Config, serial bool, qd, maxInflight int) hotchunkCell {
+// they did when the chunk mutex covered the device I/O. The journal sets
+// are not Started: the cell isolates the write pipeline from replay
+// traffic.
+func runHotchunkCell(cfg Config, serial bool, qd int) hotchunkCell {
 	clk := clock.Realtime
 	net := transport.NewSimNet(clk, netLatency)
 	reg := metrics.NewRegistry()
@@ -90,7 +89,6 @@ func runHotchunkCell(cfg Config, serial bool, qd, maxInflight int) hotchunkCell 
 			ReplTimeout: 2 * time.Second,
 			Metrics:     reg,
 			SerialApply: serial,
-			MaxInflight: maxInflight,
 		}, store, jset)
 		l, err := net.Listen(addr, transport.NodeConfig{})
 		if err != nil {
@@ -179,7 +177,6 @@ func runHotchunkCell(cfg Config, serial bool, qd, maxInflight int) hotchunkCell 
 	elapsed := cfg.cellTime() / 2
 	cell := hotchunkCell{
 		QD:           qd,
-		MaxInflight:  maxInflight,
 		WritesPerSec: float64(ops.Load()) / elapsed.Seconds(),
 		MeanLatMs:    float64(lat.Mean()) / float64(time.Millisecond),
 		P99LatMs:     float64(lat.Quantile(0.99)) / float64(time.Millisecond),
@@ -208,8 +205,7 @@ func runHotchunkCell(cfg Config, serial bool, qd, maxInflight int) hotchunkCell 
 // chunk mutex covered the device I/O) vs pipelined (overlap-only ordering).
 // A single chunk is the worst case the chunk lock created: no cross-chunk
 // parallelism exists to hide it, so every gain must come from same-chunk
-// concurrency at the primary SSD and the backups' group-commit queues. A
-// second sweep varies the per-connection server admission bound at QD 32.
+// concurrency at the primary SSD and the backups' group-commit queues.
 // Results are also written to BENCH_hotchunk.json.
 func FigHotchunk(cfg Config) Table {
 	t := Table{
@@ -219,14 +215,15 @@ func FigHotchunk(cfg Config) Table {
 			"mean batch (locked)", "mean batch (piped)", "pending max", "dep-wait p99"},
 	}
 	doc := hotchunkBenchDoc{
-		Bench:     "hotchunk",
-		Quick:     cfg.Quick,
-		Baseline:  "locked = SerialApply (same-chunk applies serialized, the pre-pipelining regime)",
-		SpeedupQD: map[string]float64{},
+		Bench:      "hotchunk",
+		Quick:      cfg.Quick,
+		Provenance: provenance(),
+		Baseline:   "locked = SerialApply (same-chunk applies serialized, the pre-pipelining regime)",
+		SpeedupQD:  map[string]float64{},
 	}
 	for _, qd := range []int{1, 8, 32} {
-		lk := runHotchunkCell(cfg, true, qd, 0)
-		pl := runHotchunkCell(cfg, false, qd, 0)
+		lk := runHotchunkCell(cfg, true, qd)
+		pl := runHotchunkCell(cfg, false, qd)
 		doc.Cells = append(doc.Cells, lk, pl)
 		speedup := 0.0
 		if lk.WritesPerSec > 0 {
@@ -244,25 +241,6 @@ func FigHotchunk(cfg Config) Table {
 			us(time.Duration(pl.DepWaitP99Ms * float64(time.Millisecond))),
 		})
 	}
-
-	// Server-side admission sweep: the pipeline can only sustain the queue
-	// depth the per-connection bound admits.
-	sweep := Table{
-		ID:     "Fig H.b",
-		Title:  "Admission sweep at QD 32, pipelined: transport.WithMaxInflight",
-		Header: []string{"max inflight", "writes/s", "mean lat", "p99 lat"},
-	}
-	for _, mi := range []int{1, 8, transport.DefaultMaxInflightPerConn} {
-		c := runHotchunkCell(cfg, false, 32, mi)
-		doc.Cells = append(doc.Cells, c)
-		sweep.Rows = append(sweep.Rows, []string{
-			f0(float64(mi)),
-			f0(c.WritesPerSec),
-			us(time.Duration(c.MeanLatMs * float64(time.Millisecond))),
-			us(time.Duration(c.P99LatMs * float64(time.Millisecond))),
-		})
-	}
-	t.Extra = append(t.Extra, sweep)
 
 	t.Notes = append(t.Notes,
 		"locked runs the chunk at effective QD 1 regardless of client QD: throughput is pinned",

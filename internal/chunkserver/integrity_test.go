@@ -170,9 +170,9 @@ func TestOneShotCorruptionAbsorbedByReread(t *testing.T) {
 	}
 }
 
-// TestPersistentCorruptionReportedOnce checks the read path keeps failing
-// (and never fabricates data) while rot persists, then recovers after the
-// device is healed and the data rewritten.
+// TestPersistentCorruptionHealsAfterRewrite checks the read path keeps
+// failing (and never fabricates data) while rot persists, then recovers
+// after the device is healed and the data rewritten.
 func TestPersistentCorruptionHealsAfterRewrite(t *testing.T) {
 	e := newIntegrityEnv(t)
 	e.create(t, e.srv, proto.StatusOK)

@@ -53,9 +53,6 @@ type Config struct {
 	// a time (the pre-pipelining behaviour). Benches use it as the locked
 	// baseline.
 	SerialApply bool
-	// MaxInflight bounds concurrent handlers per transport connection
-	// (server-side admission queue depth). 0 means the transport default.
-	MaxInflight int
 	// MasterAddrs lists every master endpoint. Device I/O failures are
 	// reported there (MOpReportFailure): a chunk whose store or journal
 	// replay hits a persistent error asks the master for the §4.2.2 view
@@ -64,12 +61,12 @@ type Config struct {
 	// Empty disables reporting, cold-ref refreshes and materialization
 	// notices.
 	MasterAddrs []string
-	// ReportCooldown throttles per-chunk failure reports: a chunk taking
-	// sustained I/O errors reports at most once per cooldown, so a storm of
-	// failing requests cannot flood the master with duplicate view changes.
-	// 0 means 1s.
-	ReportCooldown time.Duration
 }
+
+// reportCooldown throttles per-chunk failure reports: a chunk taking
+// sustained I/O errors reports at most once per cooldown, so a storm of
+// failing requests cannot flood the master with duplicate view changes.
+const reportCooldown = time.Second
 
 func (c *Config) fillDefaults() {
 	if c.Clock == nil {
@@ -83,9 +80,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.LiteCap <= 0 {
 		c.LiteCap = 4096
-	}
-	if c.ReportCooldown <= 0 {
-		c.ReportCooldown = time.Second
 	}
 }
 
@@ -224,7 +218,7 @@ func (s *Server) reportFailure(id blockstore.ChunkID, failedAddr string) {
 	key := id.String() + "|" + failedAddr
 	now := s.cfg.Clock.Now()
 	s.failMu.Lock()
-	if last, ok := s.lastReport[key]; ok && now.Sub(last) < s.cfg.ReportCooldown {
+	if last, ok := s.lastReport[key]; ok && now.Sub(last) < reportCooldown {
 		s.failMu.Unlock()
 		return
 	}
@@ -288,9 +282,6 @@ func releaseReply(resp *proto.Message) {
 // Serve starts handling requests on l. It returns immediately.
 func (s *Server) Serve(l transport.Listener) {
 	var opts []transport.ServeOption
-	if s.cfg.MaxInflight > 0 {
-		opts = append(opts, transport.WithMaxInflight(s.cfg.MaxInflight))
-	}
 	if s.cfg.Metrics != nil {
 		opts = append(opts, transport.WithQueueMetrics(s.cfg.Metrics))
 	}

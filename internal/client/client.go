@@ -36,33 +36,36 @@ type Config struct {
 	// CallTimeout bounds individual chunk-server RPCs; it is also the
 	// commit-rule timeout for client-directed writes.
 	CallTimeout time.Duration
-	// MasterTimeout bounds master RPCs (metadata, leases, failure
-	// reports). The master path tolerates far more latency than the data
-	// path — a view change may be repairing replicas behind the call — so
-	// it gets its own budget instead of borrowing CallTimeout. 0 means
-	// 20× CallTimeout.
-	MasterTimeout time.Duration
 	// IOTimeout is the end-to-end deadline budget of one ReadAt/WriteAt.
 	// This is the single place an absolute deadline enters the I/O path:
 	// the budget is stamped into every RPC the operation fans out to, and
 	// every layer below (transport waits, primary replication fan-out,
 	// version queueing) derives its window from what remains of it. 0
-	// means (MaxRetries+1) × CallTimeout, enough for every retry round to
+	// means (maxRetries+1) × CallTimeout, enough for every retry round to
 	// run its course.
 	IOTimeout time.Duration
-	// MaxRetries bounds how many recover-and-retry rounds an I/O attempts
-	// before failing.
-	MaxRetries int
-	// ReportCooldown bounds how often the client re-files the same
-	// asynchronous (chunk, address) failure report: straggler reports from
-	// the client-directed majority-ack path are fire-and-forget, and
-	// without the cooldown a flapping replica spawns one report per failed
-	// write. 0 means 1s.
-	ReportCooldown time.Duration
 	// Metrics, when non-nil, receives per-stage latency breadcrumbs from
 	// this client's operations.
 	Metrics *metrics.Registry
 }
+
+const (
+	// maxRetries bounds how many recover-and-retry rounds an I/O attempts
+	// before failing.
+	maxRetries = 6
+	// reportCooldown bounds how often the client re-files the same
+	// asynchronous (chunk, address) failure report: straggler reports from
+	// the client-directed majority-ack path are fire-and-forget, and
+	// without the cooldown a flapping replica spawns one report per failed
+	// write.
+	reportCooldown = time.Second
+)
+
+// masterTimeout bounds master RPCs (metadata, leases, failure reports).
+// The master path tolerates far more latency than the data path — a view
+// change may be repairing replicas behind the call — so it gets its own
+// budget, 20× CallTimeout, instead of borrowing CallTimeout.
+func (c *Config) masterTimeout() time.Duration { return 20 * c.CallTimeout }
 
 func (c *Config) fillDefaults() {
 	if c.Clock == nil {
@@ -74,17 +77,8 @@ func (c *Config) fillDefaults() {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 500 * time.Millisecond
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 6
-	}
-	if c.MasterTimeout <= 0 {
-		c.MasterTimeout = 20 * c.CallTimeout
-	}
 	if c.IOTimeout <= 0 {
-		c.IOTimeout = time.Duration(c.MaxRetries+1) * c.CallTimeout
-	}
-	if c.ReportCooldown <= 0 {
-		c.ReportCooldown = time.Second
+		c.IOTimeout = time.Duration(maxRetries+1) * c.CallTimeout
 	}
 	if c.Name == "" {
 		c.Name = "client"
@@ -169,7 +163,7 @@ func (c *Client) isClosed() bool {
 // time. A single goroutine serializes the client's fire-and-forget reports:
 // when the master is unreachable the reports queue (and overflow is dropped
 // at the enqueue side) instead of fanning out goroutines that all park in
-// the master call for MasterTimeout.
+// the master call for masterTimeout.
 func (c *Client) reportLoop() {
 	defer c.reportWG.Done()
 	for {
@@ -238,13 +232,13 @@ func (c *Client) newOp(budget time.Duration) *opctx.Op {
 }
 
 // masterCall performs one JSON-payload master RPC under its own
-// MasterTimeout-budgeted op.
+// masterTimeout-budgeted op.
 func (c *Client) masterCall(op proto.Op, req any, out any) (proto.Status, error) {
-	return c.masterCallT(c.cfg.MasterTimeout, op, req, out)
+	return c.masterCallT(c.cfg.masterTimeout(), op, req, out)
 }
 
 // masterCallT is masterCall with an explicit deadline budget, for callers
-// sitting on a tighter clock than MasterTimeout.
+// sitting on a tighter clock than masterTimeout.
 //
 // With one configured master endpoint (a lone master) this is a single
 // attempt. With several, the call hunts for the primary until

@@ -20,8 +20,8 @@ const MetricColdWarmHits = "cold-fetch-hit-warm"
 func (c *Client) SnapshotVDisk(vdiskName, snapName string) error {
 	// A snapshot flushes every chunk of the vdisk through a chunk server
 	// into the object store — bandwidth-bound maintenance, not a metadata
-	// lookup — so it gets a far larger budget than MasterTimeout.
-	status, err := c.masterCallT(40*c.cfg.MasterTimeout, proto.MOpSnapshot,
+	// lookup — so it gets a far larger budget than masterTimeout.
+	status, err := c.masterCallT(40*c.cfg.masterTimeout(), proto.MOpSnapshot,
 		master.SnapshotReq{VDisk: vdiskName, Name: snapName}, nil)
 	if err != nil {
 		return err

@@ -55,7 +55,7 @@ type VDisk struct {
 	// flapping replica from spawning one report goroutine per failed write
 	// (mirroring the chunkserver's per-chunk report cooldown).
 	repMu       sync.Mutex
-	repInflight map[int]struct{}       // chunk idx -> report in flight
+	repInflight map[int]struct{}        // chunk idx -> report in flight
 	repLast     map[reportKey]time.Time // last report per (chunk, addr)
 
 	reads, writes         metrics.Counter
@@ -151,7 +151,7 @@ func (vd *VDisk) confirmChunk(idx int) error {
 	// Initialization is maintenance, not a client I/O: no deadline; each
 	// probe is still individually bounded by CallTimeout.
 	op := vd.c.newOp(0)
-	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		ch.mu.Lock()
 		cm := ch.meta
 		ch.mu.Unlock()
@@ -224,8 +224,8 @@ func (vd *VDisk) reportFailure(op *opctx.Op, idx int, failedAddr string) error {
 	// I/O budget. When the report is on an I/O's critical path the wait is
 	// bounded by the op's remaining budget: blocking past the deadline
 	// helps nobody — the retry loop above is already dead. Maintenance
-	// callers pass nil and wait the full MasterTimeout.
-	d := vd.c.cfg.MasterTimeout
+	// callers pass nil and wait the full masterTimeout.
+	d := vd.c.cfg.masterTimeout()
 	if op != nil {
 		rem, ok := op.Remaining()
 		if ok && rem < d {
@@ -260,7 +260,7 @@ func (vd *VDisk) reportFailure(op *opctx.Op, idx int, failedAddr string) error {
 
 // reportFailureAsync files a failure report off the I/O's critical path.
 // One report per chunk is in flight at a time, and repeats of the same
-// (chunk, address) report within ReportCooldown are dropped — a flapping
+// (chunk, address) report within reportCooldown are dropped — a flapping
 // replica under a write-heavy workload would otherwise spawn an unbounded
 // herd of reports all asking the master for the same recovery. Surviving
 // reports go onto the client's bounded queue behind a single reporter
@@ -275,7 +275,7 @@ func (vd *VDisk) reportFailureAsync(idx int, failedAddr string) {
 		vd.repMu.Unlock()
 		return
 	}
-	if t, ok := vd.repLast[key]; ok && now.Sub(t) < vd.c.cfg.ReportCooldown {
+	if t, ok := vd.repLast[key]; ok && now.Sub(t) < reportCooldown {
 		vd.repMu.Unlock()
 		return
 	}
@@ -414,7 +414,7 @@ func (vd *VDisk) readFragment(op *opctx.Op, idx int, buf []byte, off int64) erro
 	spec := vd.meta.Redundancy
 	var lastErr error
 	var corruptErr error
-	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		if err := op.Err(); err != nil {
 			// Budget spent or caller gone: retrying would answer nobody.
 			if lastErr == nil {
@@ -657,7 +657,7 @@ func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) er
 	ch.mu.Unlock()
 
 	var lastErr error
-	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		if err := op.Err(); err != nil {
 			if lastErr == nil {
 				lastErr = err

@@ -72,16 +72,11 @@ type Options struct {
 	// SSDModel / HDDModel override device models (zero value = defaults).
 	SSDModel simdisk.SSDModel
 	HDDModel simdisk.HDDModel
-	// SSDCapacity / HDDCapacity shrink devices for tests (0 = model
-	// default). Smaller devices keep sparse-store page maps cheap.
-	SSDCapacity int64
-	HDDCapacity int64
 	// JournalFraction is the SSD share reserved for journals (paper: 1/10).
 	JournalFraction float64
-	// HDDJournal enables the overflow journal at each HDD's tail (§3.2).
+	// HDDJournal enables the overflow journal at each HDD's tail (§3.2),
+	// sized at 1/16 of the HDD.
 	HDDJournal bool
-	// HDDJournalSize bounds the overflow journal (0 = 1/16 of the HDD).
-	HDDJournalSize int64
 	// ReplTimeout / CallTimeout are the protocol timeouts.
 	ReplTimeout time.Duration
 	CallTimeout time.Duration
@@ -107,10 +102,6 @@ type Options struct {
 	// BypassThreshold is Tj (default 64 KB); TinyThreshold is Tc (8 KB).
 	BypassThreshold int
 	TinyThreshold   int
-	// ServerMaxInflight bounds concurrent handlers per connection on every
-	// chunk server (0 = transport default) — the server-side admission
-	// depth the hotchunk bench sweeps.
-	ServerMaxInflight int
 	// SerialApply disables per-chunk write pipelining on every chunk
 	// server (the locked baseline; see chunkserver.Config.SerialApply).
 	SerialApply bool
@@ -124,10 +115,6 @@ type Options struct {
 	// bandwidth model (nil = objstore.DefaultModel; point at
 	// objstore.TestModel() for the near-free protocol-test shape).
 	ObjstoreModel *objstore.Model
-	// ColdGCInterval starts the master's background cold-tier GC loop on
-	// that cadence (0 = no loop; tests and benches call RunColdGC
-	// directly).
-	ColdGCInterval time.Duration
 }
 
 func (o *Options) fillDefaults() {
@@ -152,17 +139,8 @@ func (o *Options) fillDefaults() {
 	if o.HDDModel.Capacity == 0 {
 		o.HDDModel = simdisk.DefaultHDD()
 	}
-	if o.SSDCapacity > 0 {
-		o.SSDModel.Capacity = o.SSDCapacity
-	}
-	if o.HDDCapacity > 0 {
-		o.HDDModel.Capacity = o.HDDCapacity
-	}
 	if o.JournalFraction <= 0 {
 		o.JournalFraction = 0.1
-	}
-	if o.HDDJournalSize <= 0 {
-		o.HDDJournalSize = o.HDDModel.Capacity / 16
 	}
 	if o.ReplTimeout <= 0 {
 		o.ReplTimeout = 500 * time.Millisecond
@@ -313,7 +291,6 @@ func (c *Cluster) newMaster(i int, join bool) (*master.Master, error) {
 		PrimacyTTL:     c.opts.MasterPrimacyTTL,
 		JoinStandby:    join,
 		ObjstoreAddr:   ObjstoreAddr,
-		GCInterval:     c.opts.ColdGCInterval,
 	})
 	m.Serve(ml)
 	return m, nil
@@ -370,7 +347,6 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 				Dialer:      c.Net.Dialer(addr, nodeCfg),
 				ReplTimeout: opts.ReplTimeout,
 				Metrics:     opts.Metrics,
-				MaxInflight: opts.ServerMaxInflight,
 				SerialApply: opts.SerialApply,
 				MasterAddrs: c.masterAddrs,
 			}, store, nil)
@@ -415,7 +391,6 @@ func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig, regist
 			Dialer:      c.Net.Dialer(addr, nodeCfg),
 			ReplTimeout: opts.ReplTimeout,
 			Metrics:     opts.Metrics,
-			MaxInflight: opts.ServerMaxInflight,
 			SerialApply: opts.SerialApply,
 			MasterAddrs: c.masterAddrs,
 		}, store, nil)
@@ -438,12 +413,14 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 	ssdJournalSpace := int64(float64(opts.SSDModel.Capacity) * opts.JournalFraction)
 	hddsPerSSD := (opts.HDDsPerMachine + opts.SSDsPerMachine - 1) / opts.SSDsPerMachine
 	perHDDJournal := util.AlignDown(ssdJournalSpace/int64(hddsPerSSD), util.SectorSize)
+	// The overflow journal takes the tail 1/16 of each HDD.
+	hddJournalSize := opts.HDDModel.Capacity / 16
 
 	for k, hdd := range m.HDDFaults {
 		addr := fmt.Sprintf("%s/hdd%d", m.Name, k)
 		storeLimit := hdd.Size()
 		if opts.HDDJournal {
-			storeLimit = util.AlignDown(hdd.Size()-opts.HDDJournalSize, util.ChunkSize)
+			storeLimit = util.AlignDown(hdd.Size()-hddJournalSize, util.ChunkSize)
 		}
 		store := blockstore.New(hdd, storeLimit)
 
@@ -461,7 +438,7 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 			Server: addr, Name: jname, Disk: ssd, Base: base, Size: perHDDJournal,
 		})
 		if opts.HDDJournal {
-			hjSize := util.AlignDown(opts.HDDJournalSize, util.SectorSize)
+			hjSize := util.AlignDown(hddJournalSize, util.SectorSize)
 			jset.AddHDDJournal(addr+"-jhdd", hdd, storeLimit, hjSize)
 			m.JournalRegions = append(m.JournalRegions, JournalRegion{
 				Server: addr, Name: addr + "-jhdd", Disk: hdd, Base: storeLimit,
@@ -479,7 +456,6 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 			ReplTimeout:     opts.ReplTimeout,
 			Metrics:         opts.Metrics,
 			BypassThreshold: opts.BypassThreshold,
-			MaxInflight:     opts.ServerMaxInflight,
 			SerialApply:     opts.SerialApply,
 			MasterAddrs:     c.masterAddrs,
 		}, store, jset)

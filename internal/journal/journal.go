@@ -99,14 +99,12 @@ func newJournal(name string, disk simdisk.Disk, base, size int64, region int) *J
 // freeBytes returns unreserved space.
 func (j *Journal) freeBytes() int64 { return j.size - (j.head - j.tail) }
 
-// UsedBytes returns space between tail and head (live + pad).
-func (j *Journal) UsedBytes() int64 { return j.head - j.tail }
+// usedBytes returns space between tail and head (live + pad). Caller
+// holds the Set lock.
+func (j *Journal) usedBytes() int64 { return j.head - j.tail }
 
 // Size returns the journal region capacity in bytes.
 func (j *Journal) Size() int64 { return j.size }
-
-// Appends returns the number of records appended so far.
-func (j *Journal) Appends() int64 { return j.appends }
 
 // Name returns the journal's human-readable name ("ssd0", "hdd").
 func (j *Journal) Name() string { return j.name }

@@ -136,7 +136,7 @@ func TestJournalSpaceAccounting(t *testing.T) {
 
 	sink := blockstore.New(hdd, 0)
 	set := NewSet(clk, sink, Config{PollInterval: 100 * time.Microsecond})
-	j := set.AddSSDJournal("j", ssd, 0, 64*util.KiB)
+	set.AddSSDJournal("j", ssd, 0, 64*util.KiB)
 	set.Start()
 	defer set.Close()
 
@@ -154,12 +154,12 @@ func TestJournalSpaceAccounting(t *testing.T) {
 				t.Fatalf("append %d after drain: %v", i, err)
 			}
 		}
-		if used := j.UsedBytes(); used < 0 || used > j.Size() {
-			t.Fatalf("used bytes out of range: %d of %d", used, j.Size())
+		if js := set.Stats().Journals[0]; js.Used < 0 || js.Used > js.Size {
+			t.Fatalf("used bytes out of range: %d of %d", js.Used, js.Size)
 		}
 	}
 	set.Drain()
-	if used := j.UsedBytes(); used != 0 {
+	if used := set.Stats().Journals[0].Used; used != 0 {
 		t.Errorf("used bytes after full drain = %d", used)
 	}
 }

@@ -27,12 +27,15 @@ const (
 	MetricGCBytesRewritten = "gc-bytes-rewritten"
 )
 
+// gcLiveFraction is the live-bytes share below which GC rewrites a
+// segment's surviving extents and reclaims it.
+const gcLiveFraction = 0.5
+
 // RunColdGC performs one garbage-collection pass over the object store and
 // reports how many segments it reclaimed and how many live bytes it
-// rewrote. Safe to call concurrently (passes serialize) and on a cadence
-// (the GCInterval loop does exactly this). A pass is skipped — not an
-// error — while a snapshot flush is in flight, because the flush's fresh
-// segments have no referencing metadata yet.
+// rewrote. Safe to call concurrently (passes serialize) and on a cadence.
+// A pass is skipped — not an error — while a snapshot flush is in flight,
+// because the flush's fresh segments have no referencing metadata yet.
 func (m *Master) RunColdGC() (reclaimed int, rewritten int64, err error) {
 	if m.coldCl == nil {
 		return 0, 0, nil
@@ -75,7 +78,7 @@ func (m *Master) RunColdGC() (reclaimed int, rewritten int64, err error) {
 				continue
 			}
 			reclaimed++
-		case obj.Size > 0 && float64(liveBytes)/float64(obj.Size) < m.cfg.GCLiveFraction:
+		case obj.Size > 0 && float64(liveBytes)/float64(obj.Size) < gcLiveFraction:
 			n, gerr := m.gcRewrite(op, obj.Seg, refs)
 			if gerr != nil {
 				// Partial progress is fine: the old segment stays intact and
@@ -213,20 +216,4 @@ func (m *Master) fetchLiveExtent(op *opctx.Op, r coldtier.ExtentRef) ([]byte, er
 		}
 	}
 	return nil, err
-}
-
-// gcLoop runs RunColdGC on the configured cadence while this master holds
-// primacy.
-func (m *Master) gcLoop() {
-	defer m.gcWg.Done()
-	for {
-		select {
-		case <-m.gcCh:
-			return
-		case <-m.cfg.Clock.After(m.cfg.GCInterval):
-		}
-		if m.IsPrimary() {
-			_, _, _ = m.RunColdGC()
-		}
-	}
 }

@@ -82,7 +82,7 @@ func (e *coldGCEnv) flushSegment(t *testing.T, n int) ([]coldtier.ExtentRef, [][
 }
 
 // TestColdGCRewritesPartiallyDeadSegment drives the compaction arm: a
-// segment whose live fraction fell under GCLiveFraction is rewritten, the
+// segment whose live fraction fell under gcLiveFraction is rewritten, the
 // referencing metadata is remapped atomically, and the old location turns
 // into ErrNotFound — the exact signal a chunkserver's stale-ref fetch uses
 // to refresh.

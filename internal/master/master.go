@@ -49,12 +49,6 @@ type Config struct {
 	// ObjstoreAddr is the cold tier's object store endpoint; "" disables
 	// snapshots, clones, and GC.
 	ObjstoreAddr string
-	// GCInterval paces the background cold-tier GC loop (0 disables the
-	// loop; RunColdGC remains callable directly).
-	GCInterval time.Duration
-	// GCLiveFraction is the live-bytes threshold below which GC rewrites a
-	// segment's surviving extents and reclaims it (default 0.5).
-	GCLiveFraction float64
 }
 
 func (c *Config) fillDefaults() {
@@ -75,9 +69,6 @@ func (c *Config) fillDefaults() {
 	}
 	if len(c.Peers) <= 1 {
 		c.Peers = []string{c.Addr}
-	}
-	if c.GCLiveFraction <= 0 {
-		c.GCLiveFraction = 0.5
 	}
 }
 
@@ -142,14 +133,9 @@ type Master struct {
 	closeOnce   sync.Once
 	wg          sync.WaitGroup
 
-	// Cold-tier GC machinery (see coldgc.go). gcMu serializes passes;
-	// gcCh/gcWg/gcOnce run the interval loop independently of the
-	// replication lifecycle.
+	// Cold-tier GC machinery (see coldgc.go). gcMu serializes passes.
 	coldCl *coldtier.Client
 	gcMu   sync.Mutex
-	gcCh   chan struct{}
-	gcOnce sync.Once
-	gcWg   sync.WaitGroup
 
 	rpc *transport.Server
 }
@@ -173,11 +159,6 @@ func New(cfg Config) *Master {
 	m.initReplication()
 	if cfg.ObjstoreAddr != "" {
 		m.coldCl = coldtier.NewClient(m.peers, cfg.ObjstoreAddr)
-		if cfg.GCInterval > 0 {
-			m.gcCh = make(chan struct{})
-			m.gcWg.Add(1)
-			go m.gcLoop()
-		}
 	}
 	return m
 }
@@ -185,12 +166,8 @@ func New(cfg Config) *Master {
 // Serve starts the master's RPC service.
 func (m *Master) Serve(l transport.Listener) { m.rpc = transport.Serve(l, m.Handle) }
 
-// Close stops the RPC service and the replication and GC goroutines.
+// Close stops the RPC service and the replication goroutines.
 func (m *Master) Close() {
-	if m.gcCh != nil {
-		m.gcOnce.Do(func() { close(m.gcCh) })
-		m.gcWg.Wait()
-	}
 	m.stopReplication()
 	if m.rpc != nil {
 		m.rpc.Close()

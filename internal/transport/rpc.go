@@ -284,8 +284,7 @@ type Server struct {
 	l Listener
 	h Handler
 
-	maxInflight int
-	qsink       QueueSink
+	qsink QueueSink
 
 	mu     sync.Mutex
 	conns  map[MsgConn]struct{}
@@ -293,10 +292,10 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// DefaultMaxInflightPerConn bounds concurrent handlers per connection, the
-// moral equivalent of a device queue depth; beyond it requests queue in the
-// read loop. Override per server with WithMaxInflight.
-const DefaultMaxInflightPerConn = 256
+// maxInflightPerConn bounds concurrent handlers per connection, the moral
+// equivalent of a device queue depth; beyond it requests queue in the read
+// loop.
+const maxInflightPerConn = 256
 
 // QueueSink receives the server's admission queue-depth samples.
 // *metrics.Registry implements it; the indirection keeps transport free of
@@ -312,17 +311,6 @@ const MetricConnInflight = "rpc-conn-inflight"
 // ServeOption tunes a Server.
 type ServeOption func(*Server)
 
-// WithMaxInflight overrides the per-connection concurrent-handler bound
-// (n<=0 keeps the default), the server-side admission knob the bench sweeps
-// against the chunk pipeline.
-func WithMaxInflight(n int) ServeOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxInflight = n
-		}
-	}
-}
-
 // WithQueueMetrics publishes the per-connection admission depth to sink as
 // MetricConnInflight value samples.
 func WithQueueMetrics(sink QueueSink) ServeOption {
@@ -333,8 +321,7 @@ func WithQueueMetrics(sink QueueSink) ServeOption {
 func Serve(l Listener, h Handler, opts ...ServeOption) *Server {
 	s := &Server{
 		l: l, h: h,
-		maxInflight: DefaultMaxInflightPerConn,
-		conns:       make(map[MsgConn]struct{}),
+		conns: make(map[MsgConn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -372,7 +359,7 @@ func (s *Server) connLoop(conn MsgConn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	sem := make(chan struct{}, s.maxInflight)
+	sem := make(chan struct{}, maxInflightPerConn)
 	// Parked handler workers, each identified by its inbox. Handler chains
 	// run deep (rpc -> chunkserver -> blockstore/journal), so a fresh
 	// goroutine per message pays runtime.newstack/copystack to re-grow the
@@ -380,7 +367,7 @@ func (s *Server) connLoop(conn MsgConn) {
 	// ceiling. Reusing workers keeps stacks grown. Invariant: a worker
 	// parks (pushes its inbox) BEFORE inner.Done(), so once inner.Wait()
 	// returns every surviving worker is reachable through idle.
-	idle := make(chan chan *proto.Message, s.maxInflight)
+	idle := make(chan chan *proto.Message, maxInflightPerConn)
 	var inner sync.WaitGroup
 	worker := func(inbox chan *proto.Message, m *proto.Message) {
 		for {
